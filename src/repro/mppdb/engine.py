@@ -6,17 +6,23 @@ against Apache HAWQ.  :class:`Engine` reproduces that execution model on a
 SparkSession:
 
 * every logical table is **materialised to parquet** and re-read — the
-  direct analogue of the database writing each table to storage.  This also
-  severs Catalyst lineage *and statistics* between rounds.  (Materialising
-  via ``localCheckpoint`` instead is a known trap for iterative SQL: Spark
-  carries the origin plan's size estimate into the checkpointed relation,
-  the estimates multiply at every self-join round, and after ~12 rounds the
-  planner spends minutes multiplying million-digit BigIntegers in
-  ``SizeInBytesOnlyStatsPlanVisitor``.)
+  direct analogue of the database writing each table to storage.  A CTAS is
+  one write whose rows are counted as they are written, through an attached
+  :class:`~pyspark.sql.Observation`, and a read-back given the schema the
+  engine already knows, so no further Spark job infers it or counts the
+  table.  The round-trip severs Catalyst lineage *and statistics* between
+  rounds.  (Materialising via ``localCheckpoint`` instead is a known trap
+  for iterative SQL: Spark carries the origin plan's size estimate into the
+  checkpointed relation, the estimates multiply at every self-join round,
+  and after ~12 rounds the planner spends minutes multiplying million-digit
+  BigIntegers in ``SizeInBytesOnlyStatsPlanVisitor``.)
 * :meth:`ref` resolves logical → run-unique temp-view names so algorithm
   code can embed table names in SQL strings;
 * per-statement metrics (rows, bytes, seconds, round number) feed the
   reproduction of the paper's Tables III–V;
+* ``spark.sql.shuffle.partitions`` is session-global, so engines sharing a
+  session share one setting: the first live engine saves and sets it, later
+  engines must ask for the same value, and the last to close restores it;
 * an optional **row budget** emulates a cluster running out of resources:
   exceeding it raises :class:`SpaceBudgetExceeded`, which the harness
   renders as the paper's "—" entries.
@@ -30,10 +36,13 @@ from __future__ import annotations
 import itertools
 import shutil
 import tempfile
+import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
+from pyspark.sql import functions as F
 
 from .metrics import EngineStats, QueryRecord
 
@@ -52,6 +61,49 @@ class SpaceBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+_SHUFFLE_KEY = "spark.sql.shuffle.partitions"
+
+
+@dataclass
+class _ShuffleHold:
+    """The live engines' hold on one session's shuffle-partitions setting."""
+
+    saved: str  # the session's value before the first engine set it
+    value: str
+    engines: int
+
+
+# Module-level because the setting they guard is process-wide: one
+# SparkSession (keyed by id; a live engine keeps it alive) is shared by every
+# engine and thread that uses it.
+_shuffle_lock = threading.Lock()
+_shuffle_holds: dict[int, _ShuffleHold] = {}
+
+
+def _hold_shuffle(spark: SparkSession, value: str) -> None:
+    with _shuffle_lock:
+        hold = _shuffle_holds.get(id(spark))
+        if hold is None:
+            _shuffle_holds[id(spark)] = _ShuffleHold(spark.conf.get(_SHUFFLE_KEY), value, 1)
+            spark.conf.set(_SHUFFLE_KEY, value)
+        elif hold.value != value:
+            raise ValueError(
+                f"shuffle_partitions={value} conflicts with {hold.value} "
+                f"held by {hold.engines} live engine(s) on this session"
+            )
+        else:
+            hold.engines += 1
+
+
+def _release_shuffle(spark: SparkSession) -> None:
+    with _shuffle_lock:
+        hold = _shuffle_holds[id(spark)]
+        hold.engines -= 1
+        if hold.engines == 0:
+            del _shuffle_holds[id(spark)]
+            spark.conf.set(_SHUFFLE_KEY, hold.saved)
+
+
 def _row_width(df: DataFrame) -> int:
     return sum(_WIDTHS.get(f.dataType.simpleString(), 16) for f in df.schema.fields)
 
@@ -66,6 +118,9 @@ class Engine:
         max_live_rows: int | None = None,
         shuffle_partitions: int | None = 8,
     ):
+        self._shuffle = None if shuffle_partitions is None else str(shuffle_partitions)
+        if self._shuffle is not None:
+            _hold_shuffle(spark, self._shuffle)
         self.spark = spark
         self.stats = EngineStats()
         self.max_live_rows = max_live_rows
@@ -78,10 +133,6 @@ class Engine:
         self._seq = itertools.count()
         self._round = 0
         self._closed = False
-        self._saved_shuffle: str | None = None
-        if shuffle_partitions is not None:
-            self._saved_shuffle = spark.conf.get("spark.sql.shuffle.partitions")
-            spark.conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
 
     # --- catalog -----------------------------------------------------
 
@@ -165,14 +216,19 @@ class Engine:
         return row
 
     def drop(self, *names: str) -> None:
-        """``DROP TABLE name[, ...]`` — frees the space in the live accounting."""
+        """``DROP TABLE name[, ...]`` — frees the space in the live accounting.
+
+        Every name is checked before any is dropped.
+        """
+        self._check_exists(*names)
         for name in names:
             self.spark.catalog.dropTempView(self.ref(name))
             shutil.rmtree(self._paths.pop(name), ignore_errors=True)
             del self._tables[name], self._rows[name], self._bytes[name]
 
     def rename(self, old: str, new: str) -> None:
-        """``ALTER TABLE old RENAME TO new`` (new must not exist)."""
+        """``ALTER TABLE old RENAME TO new`` (old must exist, new must not)."""
+        self._check_exists(old)
         if new in self._tables:
             raise ValueError(f"table {new!r} already exists")
         df = self._tables.pop(old)
@@ -198,8 +254,8 @@ class Engine:
         self._rows.clear()
         self._bytes.clear()
         shutil.rmtree(self._dir, ignore_errors=True)
-        if self._saved_shuffle is not None:
-            self.spark.conf.set("spark.sql.shuffle.partitions", self._saved_shuffle)
+        if self._shuffle is not None:
+            _release_shuffle(self.spark)
         self._closed = True
 
     def __enter__(self) -> "Engine":
@@ -211,11 +267,18 @@ class Engine:
     # --- internals ---------------------------------------------------
 
     def _materialise(self, name: str, df: DataFrame) -> tuple[DataFrame, int]:
-        """Write ``df`` to parquet and read it back (the CTAS storage step)."""
+        """Write ``df`` to parquet and read it back (the CTAS storage step).
+
+        The write's own jobs count its rows through an Observation, and the
+        read-back is given ``df``'s schema, so no schema-inference job and no
+        ``count()`` runs.
+        """
         path = self._dir / f"{name}_{next(self._seq)}"
-        df.write.mode("overwrite").parquet(str(path))
-        stored = self.spark.read.parquet(str(path))
-        n = stored.count()  # metadata-only count on parquet
+        obs = Observation()
+        observed = df.observe(obs, F.count(F.lit(1)).alias("n"))
+        observed.write.mode("overwrite").parquet(str(path))
+        n = obs.get["n"]
+        stored = self.spark.read.schema(df.schema).parquet(str(path))
         self._paths[name] = path
         return stored, n
 
@@ -226,6 +289,11 @@ class Engine:
         df.createOrReplaceTempView(self.ref(name))
         self.stats.peak_live_rows = max(self.stats.peak_live_rows, self.live_rows)
         self.stats.peak_live_bytes = max(self.stats.peak_live_bytes, self.live_bytes)
+
+    def _check_exists(self, *names: str) -> None:
+        missing = [n for n in names if n not in self._tables]
+        if missing:
+            raise ValueError(f"no such table(s): {', '.join(map(repr, missing))}")
 
     def _check_open(self) -> None:
         if self._closed:
