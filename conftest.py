@@ -47,8 +47,19 @@ os.environ.setdefault(
     "pyspark-shell",
 )
 
+import importlib.util  # noqa: E402
+
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
+
+
+def _get_spark():
+    """``jobs/common.get_spark``, loaded by path (``jobs/`` is no package)."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "jobs", "common.py")
+    spec = importlib.util.spec_from_file_location("jobs_common", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.get_spark
 
 
 @pytest.fixture(scope="session")
@@ -56,22 +67,11 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    pre-JVM-launch). The session itself is built by the jobs' own
+    ``get_spark``, so tests run with the settings the jobs and the benchmark
+    use (shuffle partitions, Arrow, broadcast joins disabled).
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = _get_spark()("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

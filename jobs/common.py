@@ -1,7 +1,8 @@
 """Shared SparkSession bootstrap for the spark-submit job entrypoints.
 
-Tests never use this — they use the session-scoped ``spark`` fixture from
-conftest.py; jobs run standalone under spark-submit / plain python.
+Jobs run standalone under spark-submit / plain python; the tests' session
+fixture (conftest.py) and the benchmark build their session here too, so all
+three run with the same settings.
 """
 from __future__ import annotations
 

@@ -87,7 +87,6 @@ def run_algorithm(
     seed: int = 0,
     budget_factor: float | None = 25.0,
     verify_against: pd.DataFrame | None = None,
-    shuffle_partitions: int = 8,
 ) -> RunRecord:
     """Run one algorithm on one edge DataFrame through a fresh engine."""
     fn = ALGORITHMS[algo]
@@ -99,9 +98,7 @@ def run_algorithm(
     )
     t0 = time.perf_counter()
     aborted, reason, n_vertices, n_components, rounds = False, None, 0, 0, 0
-    with Engine(
-        spark, max_live_rows=budget, shuffle_partitions=shuffle_partitions
-    ) as eng:
+    with Engine(spark, max_live_rows=budget) as eng:
         try:
             res = fn(spark, edges, eng, seed)
             rounds = res.rounds

@@ -6,8 +6,10 @@ modulo p, giving the data type of the vertex IDs the structure of GF(p)."*
 
 We use the Mersenne prime p = 2^31 − 1.  With ``A, x < p`` the product
 ``A*x`` stays below 2^62, so the whole map inlines as a plain SQL ``bigint``
-expression — no UDF, pure Catalyst.  Vertex IDs must lie in ``[0, p)``;
-every generator in :mod:`repro.graphs` guarantees that.
+expression — no UDF, pure Catalyst.  Vertex IDs must lie in ``[0, p)``:
+every generator in :mod:`repro.graphs` guarantees that, and
+:func:`checked_sql` rejects any other ID inside the query that reads it
+(outside the domain ``h`` is no bijection: ``x`` and ``x + p`` collide).
 """
 from __future__ import annotations
 
@@ -51,3 +53,12 @@ def axb_sql(a: int, x_expr: str, b: int) -> str:
 def check_domain(x: int) -> bool:
     """True iff ``x`` is a valid GF(p) vertex ID."""
     return 0 <= x < P
+
+
+def checked_sql(x_expr: str) -> str:
+    """``x_expr``, or a query error naming the domain if it lies outside it."""
+    return (
+        f"(case when {x_expr} >= 0 and {x_expr} < {P} then {x_expr} "
+        f"else raise_error(concat('vertex ID ', {x_expr}, "
+        f"' is outside the GF(p) domain [0, {P})')) end)"
+    )

@@ -85,9 +85,15 @@ class _FiniteFieldMethod(Method):
     def h_sql(self, params: tuple[int, int], x_expr: str) -> str:
         """SQL expression computing ``A·x + B`` in the field."""
 
+    def checked_sql(self, x_expr: str) -> str:
+        """``x_expr`` as the reps query reads it; a field can reject IDs here."""
+        return x_expr
+
     def make_rep_table(self, eng, e_table: str, out: str, params) -> int:
         hv = self.h_sql(params, "v")
-        hw = self.h_sql(params, "w")
+        # The check runs inside the aggregate, on every row before any h(v);
+        # E is symmetric, so checking w checks every endpoint.
+        hw = self.h_sql(params, self.checked_sql("w"))
         return eng.ctas(
             out,
             f"select v, least({hv}, min({hw})) as r from {eng.ref(e_table)} group by v",
@@ -109,6 +115,9 @@ class GFPMethod(_FiniteFieldMethod):
     def h_sql(self, params, x_expr: str) -> str:
         a, b = params
         return _gfp.axb_sql(a, x_expr, b)
+
+    def checked_sql(self, x_expr: str) -> str:
+        return _gfp.checked_sql(x_expr)
 
     def h_scalar(self, params, x: int) -> int:
         a, b = params

@@ -20,9 +20,7 @@ SparkSession:
   code can embed table names in SQL strings;
 * per-statement metrics (rows, bytes, seconds, round number) feed the
   reproduction of the paper's Tables III–V;
-* ``spark.sql.shuffle.partitions`` is session-global, so engines sharing a
-  session share one setting: the first live engine saves and sets it, later
-  engines must ask for the same value, and the last to close restores it;
+* the engine changes no session setting: the session's owner configures it;
 * an optional **row budget** emulates a cluster running out of resources:
   exceeding it raises :class:`SpaceBudgetExceeded`, which the harness
   renders as the paper's "—" entries.
@@ -36,7 +34,6 @@ from __future__ import annotations
 import itertools
 import shutil
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,47 +58,14 @@ class SpaceBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-_SHUFFLE_KEY = "spark.sql.shuffle.partitions"
-
-
 @dataclass
-class _ShuffleHold:
-    """The live engines' hold on one session's shuffle-partitions setting."""
+class _Table:
+    """One catalog entry: the read-back DataFrame, its files and its size."""
 
-    saved: str  # the session's value before the first engine set it
-    value: str
-    engines: int
-
-
-# Module-level because the setting they guard is process-wide: one
-# SparkSession (keyed by id; a live engine keeps it alive) is shared by every
-# engine and thread that uses it.
-_shuffle_lock = threading.Lock()
-_shuffle_holds: dict[int, _ShuffleHold] = {}
-
-
-def _hold_shuffle(spark: SparkSession, value: str) -> None:
-    with _shuffle_lock:
-        hold = _shuffle_holds.get(id(spark))
-        if hold is None:
-            _shuffle_holds[id(spark)] = _ShuffleHold(spark.conf.get(_SHUFFLE_KEY), value, 1)
-            spark.conf.set(_SHUFFLE_KEY, value)
-        elif hold.value != value:
-            raise ValueError(
-                f"shuffle_partitions={value} conflicts with {hold.value} "
-                f"held by {hold.engines} live engine(s) on this session"
-            )
-        else:
-            hold.engines += 1
-
-
-def _release_shuffle(spark: SparkSession) -> None:
-    with _shuffle_lock:
-        hold = _shuffle_holds[id(spark)]
-        hold.engines -= 1
-        if hold.engines == 0:
-            del _shuffle_holds[id(spark)]
-            spark.conf.set(_SHUFFLE_KEY, hold.saved)
+    df: DataFrame
+    path: Path
+    rows: int
+    bytes: int
 
 
 def _row_width(df: DataFrame) -> int:
@@ -111,25 +75,13 @@ def _row_width(df: DataFrame) -> int:
 class Engine:
     """A metered SQL execution context. Use as a context manager."""
 
-    def __init__(
-        self,
-        spark: SparkSession,
-        *,
-        max_live_rows: int | None = None,
-        shuffle_partitions: int | None = 8,
-    ):
-        self._shuffle = None if shuffle_partitions is None else str(shuffle_partitions)
-        if self._shuffle is not None:
-            _hold_shuffle(spark, self._shuffle)
+    def __init__(self, spark: SparkSession, *, max_live_rows: int | None = None):
         self.spark = spark
         self.stats = EngineStats()
         self.max_live_rows = max_live_rows
         self._prefix = f"mpp{next(_engine_ids)}"
         self._dir = Path(tempfile.mkdtemp(prefix=f"{self._prefix}_"))
-        self._tables: dict[str, DataFrame] = {}
-        self._paths: dict[str, Path] = {}
-        self._rows: dict[str, int] = {}
-        self._bytes: dict[str, int] = {}
+        self._tables: dict[str, _Table] = {}
         self._seq = itertools.count()
         self._round = 0
         self._closed = False
@@ -142,21 +94,21 @@ class Engine:
 
     def table(self, name: str) -> DataFrame:
         """The DataFrame behind logical table ``name``."""
-        return self._tables[name]
+        return self._tables[name].df
 
     def tables(self) -> list[str]:
         return sorted(self._tables)
 
     def rows(self, name: str) -> int:
-        return self._rows[name]
+        return self._tables[name].rows
 
     @property
     def live_rows(self) -> int:
-        return sum(self._rows.values())
+        return sum(t.rows for t in self._tables.values())
 
     @property
     def live_bytes(self) -> int:
-        return sum(self._bytes.values())
+        return sum(t.bytes for t in self._tables.values())
 
     # --- rounds ------------------------------------------------------
 
@@ -173,34 +125,31 @@ class Engine:
 
     def register_input(self, name: str, df: DataFrame) -> int:
         """Register the input table. Counts toward input size, not writes."""
+        self._check_new(name)
         t0 = time.perf_counter()
-        stored, n = self._materialise(name, df)
+        t = self._materialise(name, df)
         dt = time.perf_counter() - t0
-        self._install(name, stored, n)
-        b = self._bytes[name]
-        self.stats.input_rows += n
-        self.stats.input_bytes += b
+        self._install(name, t)
+        self.stats.input_rows += t.rows
+        self.stats.input_bytes += t.bytes
         self.stats.queries.append(
-            QueryRecord("input", self._round, n, b, dt, "input", name)
+            QueryRecord("input", self._round, t.rows, t.bytes, dt, "input", name)
         )
-        return n
+        return t.rows
 
     def ctas(self, name: str, sql: str, *, label: str | None = None) -> int:
         """``CREATE TABLE name AS <sql>`` — materialise, meter, budget-check."""
-        self._check_open()
-        if name in self._tables:
-            raise ValueError(f"table {name!r} already exists; drop or rename first")
+        self._check_new(name)
         t0 = time.perf_counter()
-        stored, n = self._materialise(name, self.spark.sql(sql))
+        t = self._materialise(name, self.spark.sql(sql))
         dt = time.perf_counter() - t0
-        self._install(name, stored, n)
-        b = self._bytes[name]
+        self._install(name, t)
         self.stats.queries.append(
-            QueryRecord(label or name, self._round, n, b, dt, "ctas", name)
+            QueryRecord(label or name, self._round, t.rows, t.bytes, dt, "ctas", name)
         )
         if self.max_live_rows is not None and self.live_rows > self.max_live_rows:
             raise SpaceBudgetExceeded(self.live_rows, self.max_live_rows)
-        return n
+        return t.rows
 
     def scalar(self, sql: str, *, label: str = "read"):
         """Run a read-only query, return the single value of its single row."""
@@ -223,21 +172,17 @@ class Engine:
         self._check_exists(*names)
         for name in names:
             self.spark.catalog.dropTempView(self.ref(name))
-            shutil.rmtree(self._paths.pop(name), ignore_errors=True)
-            del self._tables[name], self._rows[name], self._bytes[name]
+            shutil.rmtree(self._tables.pop(name).path, ignore_errors=True)
 
     def rename(self, old: str, new: str) -> None:
         """``ALTER TABLE old RENAME TO new`` (old must exist, new must not)."""
         self._check_exists(old)
         if new in self._tables:
             raise ValueError(f"table {new!r} already exists")
-        df = self._tables.pop(old)
+        t = self._tables.pop(old)
         self.spark.catalog.dropTempView(self.ref(old))
-        self._paths[new] = self._paths.pop(old)
-        self._rows[new] = self._rows.pop(old)
-        self._bytes[new] = self._bytes.pop(old)
-        self._tables[new] = df
-        df.createOrReplaceTempView(self.ref(new))
+        self._tables[new] = t
+        t.df.createOrReplaceTempView(self.ref(new))
 
     # --- lifecycle ---------------------------------------------------
 
@@ -250,12 +195,7 @@ class Engine:
             except Exception:
                 pass
         self._tables.clear()
-        self._paths.clear()
-        self._rows.clear()
-        self._bytes.clear()
         shutil.rmtree(self._dir, ignore_errors=True)
-        if self._shuffle is not None:
-            _release_shuffle(self.spark)
         self._closed = True
 
     def __enter__(self) -> "Engine":
@@ -266,7 +206,7 @@ class Engine:
 
     # --- internals ---------------------------------------------------
 
-    def _materialise(self, name: str, df: DataFrame) -> tuple[DataFrame, int]:
+    def _materialise(self, name: str, df: DataFrame) -> _Table:
         """Write ``df`` to parquet and read it back (the CTAS storage step).
 
         The write's own jobs count its rows through an Observation, and the
@@ -279,16 +219,18 @@ class Engine:
         observed.write.mode("overwrite").parquet(str(path))
         n = obs.get["n"]
         stored = self.spark.read.schema(df.schema).parquet(str(path))
-        self._paths[name] = path
-        return stored, n
+        return _Table(stored, path, n, n * _row_width(stored))
 
-    def _install(self, name: str, df: DataFrame, n: int) -> None:
-        self._tables[name] = df
-        self._rows[name] = n
-        self._bytes[name] = n * _row_width(df)
-        df.createOrReplaceTempView(self.ref(name))
+    def _install(self, name: str, t: _Table) -> None:
+        self._tables[name] = t
+        t.df.createOrReplaceTempView(self.ref(name))
         self.stats.peak_live_rows = max(self.stats.peak_live_rows, self.live_rows)
         self.stats.peak_live_bytes = max(self.stats.peak_live_bytes, self.live_bytes)
+
+    def _check_new(self, name: str) -> None:
+        self._check_open()
+        if name in self._tables:
+            raise ValueError(f"table {name!r} already exists; drop or rename first")
 
     def _check_exists(self, *names: str) -> None:
         missing = [n for n in names if n not in self._tables]

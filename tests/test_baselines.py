@@ -54,7 +54,7 @@ class TestHashToMin:
     def test_space_blowup_on_sequential_path(self, spark):
         """The paper's Path100M failure: quadratic cluster growth hits the budget."""
         pdf = G.path(3000, numbering="sequential")
-        with Engine(spark, max_live_rows=25 * 2 * len(pdf), shuffle_partitions=4) as eng:
+        with Engine(spark, max_live_rows=25 * 2 * len(pdf)) as eng:
             with pytest.raises(SpaceBudgetExceeded):
                 hash_to_min(spark, G.to_spark(spark, pdf), engine=eng)
 
@@ -84,7 +84,7 @@ class TestTwoPhase:
 
     def test_space_stays_linear(self, spark):
         pdf = G.path(2000, numbering="sequential")
-        with Engine(spark, shuffle_partitions=4) as eng:
+        with Engine(spark) as eng:
             two_phase(spark, G.to_spark(spark, pdf), engine=eng)
             assert eng.stats.peak_live_rows <= 12 * len(pdf)
 

@@ -1,5 +1,4 @@
 """The mppdb Engine: catalog semantics, metering, budgets."""
-import sys
 import threading
 
 import pytest
@@ -9,7 +8,7 @@ from repro.mppdb import Engine, SpaceBudgetExceeded
 
 @pytest.fixture()
 def eng(spark):
-    with Engine(spark, shuffle_partitions=4) as e:
+    with Engine(spark) as e:
         yield e
 
 
@@ -174,7 +173,7 @@ class TestMaterialise:
             "select id, cast(id as double) as d, cast(id as int) as i, "
             "id % 2 = 0 as b from range(6)",
         )
-        inferred = spark.read.parquet(str(eng._paths["t"])).schema
+        inferred = spark.read.parquet(str(eng._tables["t"].path)).schema
         got = eng.table("t").schema
         assert [(f.name, f.dataType.simpleString()) for f in got] == [
             (f.name, f.dataType.simpleString()) for f in inferred
@@ -250,58 +249,52 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             e.ctas("a", "select 1")
 
-    def test_shuffle_partitions_restored(self, spark):
-        before = spark.conf.get("spark.sql.shuffle.partitions")
-        with Engine(spark, shuffle_partitions=3):
-            assert spark.conf.get("spark.sql.shuffle.partitions") == "3"
-        assert spark.conf.get("spark.sql.shuffle.partitions") == before
+    def test_closed_engine_rejects_register_input(self, spark):
+        e = Engine(spark)
+        e.close()
+        with pytest.raises(RuntimeError):
+            e.register_input("G", spark.range(3).selectExpr("id as v", "id as w"))
+        assert not e._dir.exists()
+        assert not spark.catalog.tableExists(e.ref("G"))
 
-    def test_shuffle_partitions_held_until_last_engine_closes(self, spark):
+    def test_duplicate_register_input_fails(self, eng, spark):
+        eng.register_input("G", spark.range(5).selectExpr("id as v", "id as w"))
+        with pytest.raises(ValueError):
+            eng.register_input("G", spark.range(9).selectExpr("id as v", "id as w"))
+        assert eng.rows("G") == 5
+        assert spark.sql(f"select count(*) c from {eng.ref('G')}").collect()[0]["c"] == 5
+        assert eng.stats.input_rows == 5
+
+
+class TestSessionSettings:
+    def test_engines_leave_shuffle_partitions_alone(self, spark):
         key = "spark.sql.shuffle.partitions"
-        before = spark.conf.get(key)
-        e1 = Engine(spark, shuffle_partitions=5)
-        e2 = Engine(spark, shuffle_partitions=5)
+        original = spark.conf.get(key)
+        spark.conf.set(key, "11")
         try:
-            e1.close()  # the first engine closes while the second is live
-            assert spark.conf.get(key) == "5"
-        finally:
-            e2.close()
-        assert spark.conf.get(key) == before
+            seen, errors = [], []
+            started = threading.Barrier(2)
 
-    def test_conflicting_shuffle_partitions_rejected(self, spark):
-        key = "spark.sql.shuffle.partitions"
-        before = spark.conf.get(key)
-        with Engine(spark, shuffle_partitions=5):
-            with pytest.raises(ValueError):
-                Engine(spark, shuffle_partitions=6)
-            with Engine(spark, shuffle_partitions=None):
-                assert spark.conf.get(key) == "5"
-        assert spark.conf.get(key) == before
-
-    def test_shuffle_partitions_hold_under_thread_churn(self, spark):
-        key = "spark.sql.shuffle.partitions"
-        before = spark.conf.get(key)
-        seen, errors = [], []
-
-        def churn():
-            try:
-                for _ in range(25):
-                    with Engine(spark, shuffle_partitions=7):
+            def client(k):
+                try:
+                    with Engine(spark) as e:
+                        started.wait(60)  # both engines are live from here on
+                        e.ctas("t", f"select id % {k + 2} as g, count(*) as c "
+                                    f"from range(20) group by id % {k + 2}")
                         seen.append(spark.conf.get(key))
-            except Exception as exc:  # reported on the test's thread below
-                errors.append(exc)
+                        started.wait(60)
+                except Exception as exc:  # reported on the test's thread below
+                    errors.append(exc)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=churn, daemon=True) for _ in range(8)]
+            threads = [threading.Thread(target=client, args=(k,), daemon=True)
+                       for k in range(2)]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join(120)
+                t.join(300)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert seen == ["11", "11"]
+            assert spark.conf.get(key) == "11"
         finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert seen == ["7"] * 200
-        assert spark.conf.get(key) == before
+            spark.conf.set(key, original)

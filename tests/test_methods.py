@@ -102,7 +102,7 @@ class TestRepTables:
         """R(v, r): one row per vertex; r ∈ h(N[v]) (relabel) or N[v] (argmin)."""
         m = get_method(name)
         m.prepare(spark)
-        with Engine(spark, shuffle_partitions=4) as eng:
+        with Engine(spark) as eng:
             df = spark.createDataFrame(
                 [(1, 2), (2, 3), (3, 4), (9, 9)], "v long, w long"
             )
@@ -127,7 +127,7 @@ class TestRepTables:
         """Same params ⇒ same representative table (pure function of E)."""
         m = get_method(name)
         m.prepare(spark)
-        with Engine(spark, shuffle_partitions=4) as eng:
+        with Engine(spark) as eng:
             df = spark.createDataFrame([(i, i + 1) for i in range(30)], "v long, w long")
             eng.register_input("G", df)
             g = eng.ref("G")

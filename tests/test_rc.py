@@ -7,6 +7,7 @@ from repro.core.contraction import (
     randomised_contraction,
     randomised_contraction_fast,
 )
+from repro.ff import gfp
 from repro.graphs import generators as G
 from repro.mppdb import Engine
 
@@ -108,10 +109,29 @@ class TestRounds:
             randomised_contraction_fast(spark, df, seed=0, max_rounds=0)
 
 
+class TestGFPDomain:
+    """GF(p) maps x and x + p to the same value: IDs outside [0, p) are rejected."""
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize(
+        "pairs", [[(0, 1), (gfp.P, gfp.P + 1)], [(-1, 3)]], ids=["above_p", "negative"]
+    )
+    def test_out_of_domain_ids_raise(self, spark, variant, pairs):
+        df = spark.createDataFrame(pairs, "v long, w long")
+        with pytest.raises(Exception, match=rf"outside the GF\(p\) domain \[0, {gfp.P}\)"):
+            VARIANTS[variant](spark, df, method="gfp", seed=0)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_largest_id_in_domain(self, spark, variant):
+        pdf = pd.DataFrame({"v": [0, gfp.P - 1, 5], "w": [gfp.P - 1, gfp.P - 2, 6]})
+        res = VARIANTS[variant](spark, G.to_spark(spark, pdf), method="gfp", seed=0)
+        assert_valid_labels(res.result, pdf)
+
+
 class TestEngineIntegration:
     def test_external_engine_left_open_with_result(self, spark, graphs):
         pdf = graphs["bridge"]
-        with Engine(spark, shuffle_partitions=4) as eng:
+        with Engine(spark) as eng:
             res = randomised_contraction_fast(
                 spark, G.to_spark(spark, pdf), seed=3, engine=eng
             )
@@ -122,7 +142,7 @@ class TestEngineIntegration:
     def test_fig3_space_is_deterministic_shape(self, spark):
         """Fig 3 keeps exactly E/T/R/L live → peak ≈ small multiple of input."""
         pdf = G.path(500, numbering="random", seed=1)
-        with Engine(spark, shuffle_partitions=4) as eng:
+        with Engine(spark) as eng:
             randomised_contraction(spark, G.to_spark(spark, pdf), seed=1, engine=eng)
             # peak live rows bounded by ~4×|E_sym| + 2×|V| (paper §VI-B)
             assert eng.stats.peak_live_rows <= 4 * 2 * len(pdf) + 2 * 501
