@@ -44,9 +44,9 @@ def setup_symmetric(eng: Engine, edges: DataFrame, *, loops: bool) -> int:
 def result_table(eng: Engine, own: bool) -> DataFrame:
     """Fetch the Result table; detach it from engine storage if we own the engine.
 
-    An owned engine is closed before the caller sees the DataFrame, deleting
-    the backing parquet files — ``localCheckpoint`` copies the rows into the
-    block manager first.
+    An owned engine is closed before the caller sees the DataFrame, freeing
+    the table's checkpointed blocks — ``localCheckpoint`` copies the rows into
+    blocks of their own first.
     """
     df = eng.table("Result")
     return df.localCheckpoint(eager=True) if own else df

@@ -108,7 +108,7 @@ def randomised_contraction(
         eng.rename("L", "Result")
         result = eng.table("Result")
         if own:
-            # Detach from the engine's parquet storage, which close() deletes.
+            # Detach from the engine's in-memory storage, which close() frees.
             result = result.localCheckpoint(eager=True)
         return RCResult(result, rounds, eng.stats, m.name, "fig3", seed)
     finally:
@@ -171,7 +171,7 @@ def randomised_contraction_fast(
         eng.rename("R1", "Result")
         result = eng.table("Result")
         if own:
-            # Detach from the engine's parquet storage, which close() deletes.
+            # Detach from the engine's in-memory storage, which close() frees.
             result = result.localCheckpoint(eager=True)
         return RCResult(result, rounds, eng.stats, m.name, "fig4", seed)
     finally:

@@ -5,13 +5,13 @@ The paper's algorithms are Python drivers issuing SQL statements
 against Apache HAWQ.  :class:`Engine` reproduces that execution model on a
 SparkSession:
 
-* every logical table is **materialised to parquet** and re-read — the
-  direct analogue of the database writing each table to storage.  A CTAS is
-  one write whose rows are counted as they are written, through an attached
-  :class:`~pyspark.sql.Observation`, and a read-back given the schema the
-  engine already knows, so no further Spark job infers it or counts the
-  table.  The round-trip severs Catalyst lineage *and statistics* between
-  rounds.  (Materialising via ``localCheckpoint`` instead is a known trap
+* every logical table is **materialised in memory** — the analogue of the
+  database writing each table to storage.  A CTAS runs its query once, as
+  one ``count()`` over the query's rows whose lineage is cut by a local
+  checkpoint (blocks kept MEMORY_AND_DISK), and the table is a fresh
+  DataFrame over those rows with the schema the engine already knows.  The
+  fresh leaf severs Catalyst lineage *and statistics* between rounds.
+  (Materialising via ``DataFrame.localCheckpoint`` instead is a known trap
   for iterative SQL: Spark carries the origin plan's size estimate into the
   checkpointed relation, the estimates multiply at every self-join round,
   and after ~12 rounds the planner spends minutes multiplying million-digit
@@ -32,14 +32,11 @@ the fixed-width row accounting of the paper's database tables.
 from __future__ import annotations
 
 import itertools
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
-from pyspark.sql import DataFrame, Observation, SparkSession
-from pyspark.sql import functions as F
+from py4j.java_gateway import JavaObject
+from pyspark.sql import DataFrame, SparkSession
 
 from .metrics import EngineStats, QueryRecord
 
@@ -60,12 +57,16 @@ class SpaceBudgetExceeded(RuntimeError):
 
 @dataclass
 class _Table:
-    """One catalog entry: the read-back DataFrame, its files and its size."""
+    """One catalog entry: the stored DataFrame, its checkpointed rows and its size."""
 
     df: DataFrame
-    path: Path
+    jrdd: JavaObject  # JavaRDD[Row] holding the table's blocks
     rows: int
     bytes: int
+
+    def free(self) -> None:
+        """Release the table's blocks (where a database would delete its files)."""
+        self.jrdd.unpersist(False)
 
 
 def _row_width(df: DataFrame) -> int:
@@ -80,9 +81,7 @@ class Engine:
         self.stats = EngineStats()
         self.max_live_rows = max_live_rows
         self._prefix = f"mpp{next(_engine_ids)}"
-        self._dir = Path(tempfile.mkdtemp(prefix=f"{self._prefix}_"))
         self._tables: dict[str, _Table] = {}
-        self._seq = itertools.count()
         self._round = 0
         self._closed = False
 
@@ -127,7 +126,7 @@ class Engine:
         """Register the input table. Counts toward input size, not writes."""
         self._check_new(name)
         t0 = time.perf_counter()
-        t = self._materialise(name, df)
+        t = self._materialise(df)
         dt = time.perf_counter() - t0
         self._install(name, t)
         self.stats.input_rows += t.rows
@@ -141,7 +140,7 @@ class Engine:
         """``CREATE TABLE name AS <sql>`` — materialise, meter, budget-check."""
         self._check_new(name)
         t0 = time.perf_counter()
-        t = self._materialise(name, self.spark.sql(sql))
+        t = self._materialise(self.spark.sql(sql))
         dt = time.perf_counter() - t0
         self._install(name, t)
         self.stats.queries.append(
@@ -172,7 +171,7 @@ class Engine:
         self._check_exists(*names)
         for name in names:
             self.spark.catalog.dropTempView(self.ref(name))
-            shutil.rmtree(self._tables.pop(name).path, ignore_errors=True)
+            self._tables.pop(name).free()
 
     def rename(self, old: str, new: str) -> None:
         """``ALTER TABLE old RENAME TO new`` (old must exist, new must not)."""
@@ -189,14 +188,14 @@ class Engine:
     def close(self) -> None:
         if self._closed:
             return
-        for name in list(self._tables):
+        self._closed = True
+        tables, self._tables = self._tables, {}
+        for name, t in tables.items():
             try:
                 self.spark.catalog.dropTempView(self.ref(name))
             except Exception:
                 pass
-        self._tables.clear()
-        shutil.rmtree(self._dir, ignore_errors=True)
-        self._closed = True
+            t.free()
 
     def __enter__(self) -> "Engine":
         return self
@@ -206,20 +205,22 @@ class Engine:
 
     # --- internals ---------------------------------------------------
 
-    def _materialise(self, name: str, df: DataFrame) -> _Table:
-        """Write ``df`` to parquet and read it back (the CTAS storage step).
+    def _materialise(self, df: DataFrame) -> _Table:
+        """Run ``df`` once and keep its rows in memory (the CTAS storage step).
 
-        The write's own jobs count its rows through an Observation, and the
-        read-back is given ``df``'s schema, so no schema-inference job and no
-        ``count()`` runs.
+        The rows' RDD is local-checkpointed, so lineage is cut at its first
+        action: the ``count()`` that both materialises and counts the table
+        (one Spark job when the query has no shuffle).  The stored DataFrame is a new ``LogicalRDD`` leaf built
+        with ``df``'s schema: it carries no statistics from ``df``'s plan, so
+        size estimates cannot compound over rounds.
         """
-        path = self._dir / f"{name}_{next(self._seq)}"
-        obs = Observation()
-        observed = df.observe(obs, F.count(F.lit(1)).alias("n"))
-        observed.write.mode("overwrite").parquet(str(path))
-        n = obs.get["n"]
-        stored = self.spark.read.schema(df.schema).parquet(str(path))
-        return _Table(stored, path, n, n * _row_width(stored))
+        jrdd = df._jdf.javaRDD()
+        jrdd.rdd().localCheckpoint()
+        n = jrdd.count()
+        stored = DataFrame(
+            self.spark._jsparkSession.createDataFrame(jrdd, df._jdf.schema()), self.spark
+        )
+        return _Table(stored, jrdd, n, n * _row_width(stored))
 
     def _install(self, name: str, t: _Table) -> None:
         self._tables[name] = t

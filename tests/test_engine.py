@@ -3,6 +3,8 @@ import threading
 
 import pytest
 
+from repro.core import connected_components
+from repro.graphs import generators as G
 from repro.mppdb import Engine, SpaceBudgetExceeded
 
 
@@ -143,8 +145,13 @@ def _run_with_timeout(fn, seconds=120):
     return out["value"]
 
 
+def _cached_rdds(spark) -> set[int]:
+    """IDs of the RDDs the session currently keeps persisted."""
+    return set(spark.sparkContext._jsc.getPersistentRDDs())
+
+
 class TestMaterialise:
-    """One write with an observed row count, then a schema-given read-back."""
+    """One counting job over lineage-cut rows, kept in memory under a fresh leaf."""
 
     @pytest.mark.parametrize(
         "sql",
@@ -168,12 +175,10 @@ class TestMaterialise:
         assert eng.table("T").count() == 0
 
     def test_schema_and_metering_match_inferred_read(self, eng, spark):
-        n = eng.ctas(
-            "t",
-            "select id, cast(id as double) as d, cast(id as int) as i, "
-            "id % 2 = 0 as b from range(6)",
-        )
-        inferred = spark.read.parquet(str(eng._tables["t"].path)).schema
+        sql = ("select id, cast(id as double) as d, cast(id as int) as i, "
+               "id % 2 = 0 as b from range(6)")
+        n = eng.ctas("t", sql)
+        inferred = spark.sql(sql).schema
         got = eng.table("t").schema
         assert [(f.name, f.dataType.simpleString()) for f in got] == [
             (f.name, f.dataType.simpleString()) for f in inferred
@@ -195,6 +200,23 @@ class TestMaterialise:
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
         assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
+
+    def test_statistics_do_not_compound_across_rounds(self, eng):
+        # RC's contraction shape (a 3-way self-join) then a group-by, iterated.
+        # An engine that carries each plan's size estimate into the stored
+        # table multiplies estimates every round: thousands of digits by
+        # round 9, and minutes of BigInteger arithmetic in the planner later.
+        eng.ctas("E", "select id as v, (id * 5 + 1) % 64 as w from range(64)")
+        for rnd in range(16):
+            e = eng.ref("E")
+            eng.ctas("T", f"select distinct V.v as v, W.w as w from {e} as E, {e} as V, "
+                          f"{e} as W where E.v = V.w and E.w = W.v")
+            eng.drop("E")
+            eng.ctas("E", f"select v, min(w) as w from {eng.ref('T')} group by v")
+            eng.drop("T")
+            size = eng.table("E")._jdf.queryExecution().optimizedPlan().stats().sizeInBytes()
+            assert len(str(size)) < 25, f"round {rnd}: sizeInBytes {str(size)[:40]}…"
+        assert eng.rows("E") > 0
 
     def test_concurrent_engines_count_their_own_rows(self, spark):
         sizes = {k: 10 * k + 3 for k in range(1, 5)}
@@ -250,12 +272,54 @@ class TestLifecycle:
             e.ctas("a", "select 1")
 
     def test_closed_engine_rejects_register_input(self, spark):
+        before = _cached_rdds(spark)
         e = Engine(spark)
         e.close()
         with pytest.raises(RuntimeError):
             e.register_input("G", spark.range(3).selectExpr("id as v", "id as w"))
-        assert not e._dir.exists()
+        assert _cached_rdds(spark) <= before
         assert not spark.catalog.tableExists(e.ref("G"))
+
+    def test_storage_freed_by_drop_rename_and_close(self, spark):
+        start = _cached_rdds(spark)
+
+        def added():
+            return len(_cached_rdds(spark) - start)
+
+        e = Engine(spark)
+        e.register_input("G", spark.range(3).selectExpr("id as v", "id as w"))
+        e.ctas("a", "select id from range(4)")
+        e.ctas("b", "select id % 2 as g, count(*) as c from range(9) group by id % 2")
+        assert added() == 3
+        e.drop("a")
+        assert added() == 2
+        e.rename("b", "c")
+        assert added() == 2
+        e.drop("c")
+        assert added() == 1
+        e.ctas("d", "select id from range(5)")
+        assert added() == 2
+        e.close()
+        assert added() == 0
+
+    def test_storage_freed_after_budget_exceeded(self, spark):
+        start = _cached_rdds(spark)
+        with pytest.raises(SpaceBudgetExceeded):
+            with Engine(spark, max_live_rows=10) as e:
+                e.ctas("a", "select id from range(5)")
+                assert len(_cached_rdds(spark) - start) == 1
+                e.ctas("b", "select id from range(50)")
+        assert _cached_rdds(spark) <= start
+
+    def test_labels_outlive_their_engine(self, spark):
+        pdf = G.path(20, numbering="sequential")
+        start = _cached_rdds(spark)
+        labels = connected_components(spark, G.to_spark(spark, pdf), seed=3)
+        # The owned engine is closed; only the detached labels stay cached.
+        assert len(_cached_rdds(spark) - start) == 1
+        assert labels.count() == 20
+        assert labels.count() == 20
+        assert labels.select("r").distinct().count() == 1
 
     def test_duplicate_register_input_fails(self, eng, spark):
         eng.register_input("G", spark.range(5).selectExpr("id as v", "id as w"))
