@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..mppdb import Engine
-from .common import AlgoResult, result_table, setup_symmetric
+from ..mppdb import Engine, with_engine
+from .common import AlgoResult, setup_symmetric
 
 
+@with_engine
 def bfs_cc(
     spark: SparkSession,
     edges: DataFrame,
@@ -23,48 +24,43 @@ def bfs_cc(
     max_rounds: int = 100_000,
 ) -> AlgoResult:
     """Min-label propagation until fixpoint; returns labels (v, r)."""
-    own = engine is None
-    eng = engine if engine is not None else Engine(spark)
-    try:
-        setup_symmetric(eng, edges, loops=True)
-        # ES = symmetric edges plus a self loop per vertex, so a vertex's own
-        # label participates in each min.
+    eng = engine
+    setup_symmetric(eng, edges, loops=True)
+    # ES = symmetric edges plus a self loop per vertex, so a vertex's own
+    # label participates in each min.
+    eng.ctas(
+        "ES",
+        f"select v, w from {eng.ref('E')} union select v, v from {eng.ref('V')}",
+        label="setup_self",
+    )
+    eng.drop("E")
+    eng.ctas(
+        "L",
+        f"select v, min(w) as r from {eng.ref('ES')} group by v",
+        label="init_labels",
+    )
+    rounds = 0
+    while True:
+        eng.next_round()
+        rounds += 1
+        if rounds > max_rounds:
+            raise RuntimeError(f"no convergence after {max_rounds} rounds")
         eng.ctas(
-            "ES",
-            f"select v, w from {eng.ref('E')} union select v, v from {eng.ref('V')}",
-            label="setup_self",
+            "L2",
+            f"select e.v as v, min(l.r) as r "
+            f"from {eng.ref('ES')} e join {eng.ref('L')} l on e.w = l.v "
+            f"group by e.v",
+            label="propagate",
         )
-        eng.drop("E")
-        eng.ctas(
-            "L",
-            f"select v, min(w) as r from {eng.ref('ES')} group by v",
-            label="init_labels",
+        changed = eng.scalar(
+            f"select count(*) from {eng.ref('L2')} a join {eng.ref('L')} b "
+            f"on a.v = b.v and a.r != b.r",
+            label="changed",
         )
-        rounds = 0
-        while True:
-            eng.next_round()
-            rounds += 1
-            if rounds > max_rounds:
-                raise RuntimeError(f"no convergence after {max_rounds} rounds")
-            eng.ctas(
-                "L2",
-                f"select e.v as v, min(l.r) as r "
-                f"from {eng.ref('ES')} e join {eng.ref('L')} l on e.w = l.v "
-                f"group by e.v",
-                label="propagate",
-            )
-            changed = eng.scalar(
-                f"select count(*) from {eng.ref('L2')} a join {eng.ref('L')} b "
-                f"on a.v = b.v and a.r != b.r",
-                label="changed",
-            )
-            eng.drop("L")
-            eng.rename("L2", "L")
-            if changed == 0:
-                break
-        eng.drop("ES", "V")
-        eng.rename("L", "Result")
-        return AlgoResult(result_table(eng, own), rounds, eng.stats, "bfs")
-    finally:
-        if own:
-            eng.close()
+        eng.drop("L")
+        eng.rename("L2", "L")
+        if changed == 0:
+            break
+    eng.drop("ES", "V")
+    eng.rename("L", "Result")
+    return AlgoResult(eng.table("Result"), rounds, eng.stats, "bfs")

@@ -41,17 +41,6 @@ def setup_symmetric(eng: Engine, edges: DataFrame, *, loops: bool) -> int:
     return n
 
 
-def result_table(eng: Engine, own: bool) -> DataFrame:
-    """Fetch the Result table; detach it from engine storage if we own the engine.
-
-    An owned engine is closed before the caller sees the DataFrame, freeing
-    the table's checkpointed blocks — ``localCheckpoint`` copies the rows into
-    blocks of their own first.
-    """
-    df = eng.table("Result")
-    return df.localCheckpoint(eager=True) if own else df
-
-
 def sig(eng: Engine, table: str, cols: str = "v, w") -> tuple[int, int]:
     """Order-independent signature of a table, for fixpoint detection."""
     # decimal(38,0) sum: ANSI mode (Spark 4 default) would overflow a bigint.

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..mppdb import Engine
-from .common import AlgoResult, result_table, setup_symmetric
+from ..mppdb import Engine, with_engine
+from .common import AlgoResult, setup_symmetric
 
 
 def _with_self_loops(eng: Engine, edge_table: str, out: str) -> int:
@@ -35,6 +35,7 @@ def _with_self_loops(eng: Engine, edge_table: str, out: str) -> int:
     )
 
 
+@with_engine
 def cracker(
     spark: SparkSession,
     edges: DataFrame,
@@ -43,100 +44,95 @@ def cracker(
     max_rounds: int = 200,
 ) -> AlgoResult:
     """Cracker connected components; returns labels (v, r)."""
-    own = engine is None
-    eng = engine if engine is not None else Engine(spark)
-    try:
-        setup_symmetric(eng, edges, loops=True)
+    eng = engine
+    setup_symmetric(eng, edges, loops=True)
+    eng.ctas(
+        "G0",
+        f"select v as u, w from {eng.ref('E')}",
+        label="orient",
+    )
+    eng.drop("E")
+    _with_self_loops(eng, "G0", "ES")
+    eng.drop("G0")
+    tree_tables: list[str] = []
+    rounds = 0
+    while True:
+        eng.next_round()
+        rounds += 1
+        if rounds > max_rounds:
+            raise RuntimeError(f"no convergence after {max_rounds} rounds")
+        es = eng.ref("ES")
         eng.ctas(
-            "G0",
-            f"select v as u, w from {eng.ref('E')}",
-            label="orient",
+            "MIN",
+            f"select u, min(w) as vmin from {es} group by u",
+            label="min_selection",
         )
-        eng.drop("E")
-        _with_self_loops(eng, "G0", "ES")
-        eng.drop("G0")
-        tree_tables: list[str] = []
-        rounds = 0
-        while True:
-            eng.next_round()
-            rounds += 1
-            if rounds > max_rounds:
-                raise RuntimeError(f"no convergence after {max_rounds} rounds")
-            es = eng.ref("ES")
-            eng.ctas(
-                "MIN",
-                f"select u, min(w) as vmin from {es} group by u",
-                label="min_selection",
-            )
-            # R(v): the set of nominations v receives.
-            eng.ctas(
-                "R",
-                f"select distinct g.w as v, m.vmin as x "
-                f"from {es} g join {eng.ref('MIN')} m on g.u = m.u",
-                label="nominations",
-            )
-            eng.ctas(
-                "RMIN",
-                f"select v, min(x) as rmin from {eng.ref('R')} group by v",
-                label="nomination_min",
-            )
-            r, rmin = eng.ref("R"), eng.ref("RMIN")
-            # Pruned nodes: never nominated (v ∉ R(v)); they hang off min(R(v)).
-            t = f"T{rounds}"
-            eng.ctas(
-                t,
-                f"select rm.rmin as parent, rm.v as child from {rmin} rm "
-                f"left anti join (select v from {r} where v = x) s on rm.v = s.v",
-                label="prune",
-            )
-            tree_tables.append(t)
-            n_active = eng.ctas(
-                "G2",
-                f"select distinct rm.rmin as u, r.x as w "
-                f"from {r} r join {rmin} rm on r.v = rm.v where r.x != rm.rmin",
-                label="contract",
-            )
-            eng.drop("ES", "MIN", "R", "RMIN")
-            if n_active == 0:
-                eng.drop("G2")
-                break
-            _with_self_loops(eng, "G2", "ES")
+        # R(v): the set of nominations v receives.
+        eng.ctas(
+            "R",
+            f"select distinct g.w as v, m.vmin as x "
+            f"from {es} g join {eng.ref('MIN')} m on g.u = m.u",
+            label="nominations",
+        )
+        eng.ctas(
+            "RMIN",
+            f"select v, min(x) as rmin from {eng.ref('R')} group by v",
+            label="nomination_min",
+        )
+        r, rmin = eng.ref("R"), eng.ref("RMIN")
+        # Pruned nodes: never nominated (v ∉ R(v)); they hang off min(R(v)).
+        t = f"T{rounds}"
+        eng.ctas(
+            t,
+            f"select rm.rmin as parent, rm.v as child from {rmin} rm "
+            f"left anti join (select v from {r} where v = x) s on rm.v = s.v",
+            label="prune",
+        )
+        tree_tables.append(t)
+        n_active = eng.ctas(
+            "G2",
+            f"select distinct rm.rmin as u, r.x as w "
+            f"from {r} r join {rmin} rm on r.v = rm.v where r.x != rm.rmin",
+            label="contract",
+        )
+        eng.drop("ES", "MIN", "R", "RMIN")
+        if n_active == 0:
             eng.drop("G2")
+            break
+        _with_self_loops(eng, "G2", "ES")
+        eng.drop("G2")
 
-        # Propagation phase: seeds keep their own ID; labels flow down the tree.
-        union_sql = " union all ".join(
-            f"select parent, child from {eng.ref(t)}" for t in tree_tables
-        )
-        eng.ctas("TREE", f"select parent, child from ({union_sql})", label="tree")
-        eng.drop(*tree_tables)
-        n_vertices = eng.rows("V")
+    # Propagation phase: seeds keep their own ID; labels flow down the tree.
+    union_sql = " union all ".join(
+        f"select parent, child from {eng.ref(t)}" for t in tree_tables
+    )
+    eng.ctas("TREE", f"select parent, child from ({union_sql})", label="tree")
+    eng.drop(*tree_tables)
+    n_vertices = eng.rows("V")
+    eng.ctas(
+        "L",
+        f"select v, v as r from {eng.ref('V')} "
+        f"left anti join (select child from {eng.ref('TREE')}) t on v = t.child",
+        label="seeds",
+    )
+    while eng.rows("L") < n_vertices:
+        eng.next_round()
+        rounds += 1
+        if rounds > max_rounds:
+            raise RuntimeError(f"propagation stuck after {max_rounds} rounds")
+        n_before = eng.rows("L")
         eng.ctas(
-            "L",
-            f"select v, v as r from {eng.ref('V')} "
-            f"left anti join (select child from {eng.ref('TREE')}) t on v = t.child",
-            label="seeds",
+            "L2",
+            f"select v, r from {eng.ref('L')} "
+            f"union select t.child as v, l.r as r "
+            f"from {eng.ref('TREE')} t join {eng.ref('L')} l on t.parent = l.v",
+            label="propagate",
         )
-        while eng.rows("L") < n_vertices:
-            eng.next_round()
-            rounds += 1
-            if rounds > max_rounds:
-                raise RuntimeError(f"propagation stuck after {max_rounds} rounds")
-            n_before = eng.rows("L")
-            eng.ctas(
-                "L2",
-                f"select v, r from {eng.ref('L')} "
-                f"union select t.child as v, l.r as r "
-                f"from {eng.ref('TREE')} t join {eng.ref('L')} l on t.parent = l.v",
-                label="propagate",
-            )
-            n_after = eng.rows("L2")
-            eng.drop("L")
-            eng.rename("L2", "L")
-            if n_after == n_before:
-                raise RuntimeError("propagation made no progress (broken tree)")
-        eng.drop("TREE", "V")
-        eng.rename("L", "Result")
-        return AlgoResult(result_table(eng, own), rounds, eng.stats, "cracker")
-    finally:
-        if own:
-            eng.close()
+        n_after = eng.rows("L2")
+        eng.drop("L")
+        eng.rename("L2", "L")
+        if n_after == n_before:
+            raise RuntimeError("propagation made no progress (broken tree)")
+    eng.drop("TREE", "V")
+    eng.rename("L", "Result")
+    return AlgoResult(eng.table("Result"), rounds, eng.stats, "cracker")

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..mppdb import Engine
-from .common import AlgoResult, result_table, setup_symmetric, sig
+from ..mppdb import Engine, with_engine
+from .common import AlgoResult, setup_symmetric, sig
 
 
+@with_engine
 def hash_to_min(
     spark: SparkSession,
     edges: DataFrame,
@@ -28,58 +29,53 @@ def hash_to_min(
     max_rounds: int = 200,
 ) -> AlgoResult:
     """Hash-to-Min connected components; returns labels (v, r)."""
-    own = engine is None
-    eng = engine if engine is not None else Engine(spark)
-    try:
-        setup_symmetric(eng, edges, loops=True)
-        # C(v) = N[v]: neighbours plus self.
+    eng = engine
+    setup_symmetric(eng, edges, loops=True)
+    # C(v) = N[v]: neighbours plus self.
+    eng.ctas(
+        "C",
+        f"select v, w as u from {eng.ref('E')} "
+        f"union select v, v as u from {eng.ref('V')}",
+        label="init_clusters",
+    )
+    eng.drop("E")
+    prev = sig(eng, "C", "v, u")
+    rounds = 0
+    while True:
+        eng.next_round()
+        rounds += 1
+        if rounds > max_rounds:
+            raise RuntimeError(f"no convergence after {max_rounds} rounds")
         eng.ctas(
-            "C",
-            f"select v, w as u from {eng.ref('E')} "
-            f"union select v, v as u from {eng.ref('V')}",
-            label="init_clusters",
+            "M",
+            f"select v, min(u) as m from {eng.ref('C')} group by v",
+            label="mins",
         )
-        eng.drop("E")
-        prev = sig(eng, "C", "v, u")
-        rounds = 0
-        while True:
-            eng.next_round()
-            rounds += 1
-            if rounds > max_rounds:
-                raise RuntimeError(f"no convergence after {max_rounds} rounds")
-            eng.ctas(
-                "M",
-                f"select v, min(u) as m from {eng.ref('C')} group by v",
-                label="mins",
-            )
-            c, m = eng.ref("C"), eng.ref("M")
-            eng.ctas(
-                "C2",
-                "select distinct v, u from ("
-                # min C(v) → every member of C(v) ...
-                f"select c.u as v, m.m as u from {c} c join {m} m on c.v = m.v "
-                "union all "
-                # ... and to v itself (keeps every vertex present), ...
-                f"select v, m as u from {m} "
-                "union all "
-                # ... C(v) → the min member.
-                f"select m.m as v, c.u as u from {c} c join {m} m on c.v = m.v"
-                ")",
-                label="exchange",
-            )
-            cur = sig(eng, "C2", "v, u")
-            eng.drop("C", "M")
-            eng.rename("C2", "C")
-            if cur == prev:
-                break
-            prev = cur
+        c, m = eng.ref("C"), eng.ref("M")
         eng.ctas(
-            "Result",
-            f"select v, min(u) as r from {eng.ref('C')} group by v",
-            label="labels",
+            "C2",
+            "select distinct v, u from ("
+            # min C(v) → every member of C(v) ...
+            f"select c.u as v, m.m as u from {c} c join {m} m on c.v = m.v "
+            "union all "
+            # ... and to v itself (keeps every vertex present), ...
+            f"select v, m as u from {m} "
+            "union all "
+            # ... C(v) → the min member.
+            f"select m.m as v, c.u as u from {c} c join {m} m on c.v = m.v"
+            ")",
+            label="exchange",
         )
-        eng.drop("C", "V")
-        return AlgoResult(result_table(eng, own), rounds, eng.stats, "hash_to_min")
-    finally:
-        if own:
-            eng.close()
+        cur = sig(eng, "C2", "v, u")
+        eng.drop("C", "M")
+        eng.rename("C2", "C")
+        if cur == prev:
+            break
+        prev = cur
+    eng.ctas(
+        "Result",
+        f"select v, min(u) as r from {eng.ref('C')} group by v",
+        label="labels",
+    )
+    eng.drop("C", "V")
+    return AlgoResult(eng.table("Result"), rounds, eng.stats, "hash_to_min")

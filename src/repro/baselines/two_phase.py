@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..mppdb import Engine
-from .common import AlgoResult, result_table, sig
+from ..mppdb import Engine, with_engine
+from .common import AlgoResult, sig
 
 
+@with_engine
 def two_phase(
     spark: SparkSession,
     edges: DataFrame,
@@ -33,93 +34,88 @@ def two_phase(
     max_rounds: int = 400,
 ) -> AlgoResult:
     """Alternating large-star/small-star; returns labels (v, r)."""
-    own = engine is None
-    eng = engine if engine is not None else Engine(spark)
-    try:
-        eng.register_input("G", edges.select("v", "w"))
-        g = eng.ref("G")
-        # Canonical loop-free edge table: each undirected edge once, v > w.
+    eng = engine
+    eng.register_input("G", edges.select("v", "w"))
+    g = eng.ref("G")
+    # Canonical loop-free edge table: each undirected edge once, v > w.
+    eng.ctas(
+        "E",
+        f"select distinct greatest(v, w) as v, least(v, w) as w "
+        f"from {g} where v != w",
+        label="setup",
+    )
+    eng.ctas(
+        "V",
+        f"select distinct v from (select v from {g} union all select w from {g})",
+        label="setup_vertices",
+    )
+    prev = sig(eng, "E")
+    rounds = 0
+    while True:
+        # --- large-star ---
+        eng.next_round()
+        rounds += 1
+        if rounds > max_rounds:
+            raise RuntimeError(f"no convergence after {max_rounds} rounds")
+        e = eng.ref("E")
+        # Both directions are expanded inside the query only; the stored
+        # output (w > m(v) always) is canonical again.
+        nd = f"(select v, w from {e} union all select w as v, v as w from {e})"
         eng.ctas(
-            "E",
-            f"select distinct greatest(v, w) as v, least(v, w) as w "
-            f"from {g} where v != w",
-            label="setup",
+            "M",
+            f"select v, least(v, min(w)) as m from {nd} group by v",
+            label="large_star_min",
         )
         eng.ctas(
-            "V",
-            f"select distinct v from (select v from {g} union all select w from {g})",
-            label="setup_vertices",
+            "S",
+            f"select distinct nd.w as v, m.m as w "
+            f"from {nd} nd join {eng.ref('M')} m on nd.v = m.v "
+            f"where nd.w > nd.v",
+            label="large_star",
         )
-        prev = sig(eng, "E")
-        rounds = 0
-        while True:
-            # --- large-star ---
-            eng.next_round()
-            rounds += 1
-            if rounds > max_rounds:
-                raise RuntimeError(f"no convergence after {max_rounds} rounds")
-            e = eng.ref("E")
-            # Both directions are expanded inside the query only; the stored
-            # output (w > m(v) always) is canonical again.
-            nd = f"(select v, w from {e} union all select w as v, v as w from {e})"
-            eng.ctas(
-                "M",
-                f"select v, least(v, min(w)) as m from {nd} group by v",
-                label="large_star_min",
-            )
-            eng.ctas(
-                "S",
-                f"select distinct nd.w as v, m.m as w "
-                f"from {nd} nd join {eng.ref('M')} m on nd.v = m.v "
-                f"where nd.w > nd.v",
-                label="large_star",
-            )
-            eng.drop("E", "M")
-            eng.rename("S", "E")
+        eng.drop("E", "M")
+        eng.rename("S", "E")
 
-            # --- small-star ---
-            eng.next_round()
-            rounds += 1
-            e = eng.ref("E")
-            # Stored orientation v > w means E *is* the smaller-neighbour list.
-            eng.ctas(
-                "M",
-                f"select v, min(w) as m from {e} group by v",
-                label="small_star_min",
-            )
-            m = eng.ref("M")
-            eng.ctas(
-                "S",
-                "select distinct v, w from ("
-                # every smaller neighbour joins the minimum ...
-                f"select e.w as v, m.m as w from {e} e join {m} m on e.v = m.v "
-                "union all "
-                # ... and v itself joins the minimum.
-                f"select v, m as w from {m}"
-                ") where v != w",
-                label="small_star",
-            )
-            eng.drop("E", "M")
-            eng.rename("S", "E")
+        # --- small-star ---
+        eng.next_round()
+        rounds += 1
+        e = eng.ref("E")
+        # Stored orientation v > w means E *is* the smaller-neighbour list.
+        eng.ctas(
+            "M",
+            f"select v, min(w) as m from {e} group by v",
+            label="small_star_min",
+        )
+        m = eng.ref("M")
+        eng.ctas(
+            "S",
+            "select distinct v, w from ("
+            # every smaller neighbour joins the minimum ...
+            f"select e.w as v, m.m as w from {e} e join {m} m on e.v = m.v "
+            "union all "
+            # ... and v itself joins the minimum.
+            f"select v, m as w from {m}"
+            ") where v != w",
+            label="small_star",
+        )
+        eng.drop("E", "M")
+        eng.rename("S", "E")
 
-            cur = sig(eng, "E")
-            if cur == prev:
-                break
-            prev = cur
-        # At fixpoint E is a union of min-centred stars (leaf, centre).
-        eng.ctas(
-            "ML",
-            f"select v, min(w) as r from {eng.ref('E')} group by v",
-            label="star_labels",
-        )
-        eng.ctas(
-            "Result",
-            f"select V.v as v, coalesce(m.r, V.v) as r "
-            f"from {eng.ref('V')} V left outer join {eng.ref('ML')} m on V.v = m.v",
-            label="labels",
-        )
-        eng.drop("E", "ML", "V")
-        return AlgoResult(result_table(eng, own), rounds, eng.stats, "two_phase")
-    finally:
-        if own:
-            eng.close()
+        cur = sig(eng, "E")
+        if cur == prev:
+            break
+        prev = cur
+    # At fixpoint E is a union of min-centred stars (leaf, centre).
+    eng.ctas(
+        "ML",
+        f"select v, min(w) as r from {eng.ref('E')} group by v",
+        label="star_labels",
+    )
+    eng.ctas(
+        "Result",
+        f"select V.v as v, coalesce(m.r, V.v) as r "
+        f"from {eng.ref('V')} V left outer join {eng.ref('ML')} m on V.v = m.v",
+        label="labels",
+    )
+    eng.drop("E", "ML", "V")
+    return AlgoResult(eng.table("Result"), rounds, eng.stats, "two_phase")

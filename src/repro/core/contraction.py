@@ -13,7 +13,9 @@ its connected component.
   the affine ``(A, B)`` accumulation stack for finite-field methods.
   Faster; space linear in expectation only.
 
-The SQL emitted matches the paper's pseudocode line for line; it executes
+Both figures share one per-round step (draw, representatives, contract,
+E := T) and differ only in their bookkeeping of the per-round tables.  The
+SQL emitted matches the paper's pseudocode line for line; it executes
 through :class:`repro.mppdb.Engine` so rounds, rows and bytes are metered.
 """
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, SparkSession
 
 from ..ff.methods import Method, get_method
-from ..mppdb import Engine, EngineStats
+from ..mppdb import Engine, EngineStats, with_engine
 
 
 @dataclass
@@ -50,17 +52,34 @@ def _setup_edges(eng: Engine, edges: DataFrame) -> int:
     )
 
 
-def _contract(eng: Engine, e: str, r: str) -> int:
-    """One contraction: map both edge endpoints through R, drop loops/dups."""
-    return eng.ctas(
+def _contract_round(
+    eng: Engine, m: Method, rng: random.Random, i: int, max_rounds: int, r: str
+) -> tuple[object, int]:
+    """Round ``i``, shared by Figs 3 and 4: contract E through a new table ``r``.
+
+    Draws the round's parameters, builds the representative table ``r`` for
+    E, maps both edge endpoints through it (dropping loops and duplicates)
+    and makes the contracted graph the new E.  Returns the parameters and
+    the contracted edge count, which is 0 once every component is a vertex.
+    """
+    eng.next_round()
+    if i > max_rounds:
+        raise RuntimeError(f"no convergence after {max_rounds} rounds")
+    params = m.draw(rng)
+    m.make_rep_table(eng, "E", r, params)
+    rowcount = eng.ctas(
         "T",
         f"select distinct V.r as v, W.r as w "
-        f"from {eng.ref(e)} as E, {eng.ref(r)} as V, {eng.ref(r)} as W "
+        f"from {eng.ref('E')} as E, {eng.ref(r)} as V, {eng.ref(r)} as W "
         f"where E.v = V.v and E.w = W.v and V.r != W.r",
         label="contract",
     )
+    eng.drop("E")
+    eng.rename("T", "E")
+    return params, rowcount
 
 
+@with_engine
 def randomised_contraction(
     spark: SparkSession,
     edges: DataFrame,
@@ -74,48 +93,32 @@ def randomised_contraction(
     m = get_method(method)
     m.prepare(spark)
     rng = random.Random(seed)
-    own = engine is None
-    eng = engine if engine is not None else Engine(spark)
-    try:
-        _setup_edges(eng, edges)
-        first, rounds = True, 0
-        while True:
-            eng.next_round()
-            rounds += 1
-            if rounds > max_rounds:
-                raise RuntimeError(f"no convergence after {max_rounds} rounds")
-            params = m.draw(rng)
-            m.make_rep_table(eng, "E", "R", params)
-            rowcount = _contract(eng, "E", "R")
-            eng.drop("E")
-            eng.rename("T", "E")
-            if first:
-                first = False
-                eng.rename("R", "L")
-            else:
-                miss = m.missing_sql(params, "L.r")
-                eng.ctas(
-                    "T",
-                    f"select L.v as v, coalesce(R.r, {miss}) as r "
-                    f"from {eng.ref('L')} as L left outer join {eng.ref('R')} as R "
-                    f"on (L.r = R.v)",
-                    label="compose",
-                )
-                eng.drop("L", "R")
-                eng.rename("T", "L")
-            if rowcount == 0:
-                break
-        eng.rename("L", "Result")
-        result = eng.table("Result")
-        if own:
-            # Detach from the engine's in-memory storage, which close() frees.
-            result = result.localCheckpoint(eager=True)
-        return RCResult(result, rounds, eng.stats, m.name, "fig3", seed)
-    finally:
-        if own:
-            eng.close()
+    eng = engine
+    _setup_edges(eng, edges)
+    rounds = 0
+    while True:
+        rounds += 1
+        params, rowcount = _contract_round(eng, m, rng, rounds, max_rounds, "R")
+        if rounds == 1:
+            eng.rename("R", "L")
+        else:
+            miss = m.missing_sql(params, "L.r")
+            eng.ctas(
+                "T",
+                f"select L.v as v, coalesce(R.r, {miss}) as r "
+                f"from {eng.ref('L')} as L left outer join {eng.ref('R')} as R "
+                f"on (L.r = R.v)",
+                label="compose",
+            )
+            eng.drop("L", "R")
+            eng.rename("T", "L")
+        if rowcount == 0:
+            break
+    eng.rename("L", "Result")
+    return RCResult(eng.table("Result"), rounds, eng.stats, m.name, "fig3", seed)
 
 
+@with_engine
 def randomised_contraction_fast(
     spark: SparkSession,
     edges: DataFrame,
@@ -129,51 +132,35 @@ def randomised_contraction_fast(
     m = get_method(method)
     m.prepare(spark)
     rng = random.Random(seed)
-    own = engine is None
-    eng = engine if engine is not None else Engine(spark)
-    try:
-        _setup_edges(eng, edges)
-        stack: list = []
-        i = 0
-        while True:
-            eng.next_round()
-            i += 1
-            if i > max_rounds:
-                raise RuntimeError(f"no convergence after {max_rounds} rounds")
-            params = m.draw(rng)
-            stack.append(params)
-            m.make_rep_table(eng, "E", f"R{i}", params)
-            rowcount = _contract(eng, "E", f"R{i}")
-            eng.drop("E")
-            eng.rename("T", "E")
-            if rowcount == 0:
-                break
-        rounds = i
-        eng.drop("E")  # empty by termination; the paper drops ccgraph too
-        acc = m.identity_params if m.relabels else None
-        while i > 1:
-            i -= 1
-            popped = stack.pop()  # round i+1's parameters
-            if m.relabels:
-                acc = m.compose_params(acc, popped)
-                miss = m.missing_sql(acc, "L.r")
-            else:
-                miss = "L.r"
-            eng.ctas(
-                "T",
-                f"select L.v as v, coalesce(R.r, {miss}) as r "
-                f"from {eng.ref(f'R{i}')} as L left outer join "
-                f"{eng.ref(f'R{i + 1}')} as R on (L.r = R.v)",
-                label="compose",
-            )
-            eng.drop(f"R{i}", f"R{i + 1}")
-            eng.rename("T", f"R{i}")
-        eng.rename("R1", "Result")
-        result = eng.table("Result")
-        if own:
-            # Detach from the engine's in-memory storage, which close() frees.
-            result = result.localCheckpoint(eager=True)
-        return RCResult(result, rounds, eng.stats, m.name, "fig4", seed)
-    finally:
-        if own:
-            eng.close()
+    eng = engine
+    _setup_edges(eng, edges)
+    stack: list = []
+    i = 0
+    while True:
+        i += 1
+        params, rowcount = _contract_round(eng, m, rng, i, max_rounds, f"R{i}")
+        stack.append(params)
+        if rowcount == 0:
+            break
+    rounds = i
+    eng.drop("E")  # empty by termination; the paper drops ccgraph too
+    acc = m.identity_params if m.relabels else None
+    while i > 1:
+        i -= 1
+        popped = stack.pop()  # round i+1's parameters
+        if m.relabels:
+            acc = m.compose_params(acc, popped)
+            miss = m.missing_sql(acc, "L.r")
+        else:
+            miss = "L.r"
+        eng.ctas(
+            "T",
+            f"select L.v as v, coalesce(R.r, {miss}) as r "
+            f"from {eng.ref(f'R{i}')} as L left outer join "
+            f"{eng.ref(f'R{i + 1}')} as R on (L.r = R.v)",
+            label="compose",
+        )
+        eng.drop(f"R{i}", f"R{i + 1}")
+        eng.rename("T", f"R{i}")
+    eng.rename("R1", "Result")
+    return RCResult(eng.table("Result"), rounds, eng.stats, m.name, "fig4", seed)

@@ -1,5 +1,5 @@
 """In-Spark MPP-database emulation (CTAS/DROP/RENAME with metering)."""
-from .engine import Engine, SpaceBudgetExceeded
+from .engine import Engine, SpaceBudgetExceeded, with_engine
 from .metrics import EngineStats, QueryRecord
 
-__all__ = ["Engine", "SpaceBudgetExceeded", "EngineStats", "QueryRecord"]
+__all__ = ["Engine", "SpaceBudgetExceeded", "EngineStats", "QueryRecord", "with_engine"]

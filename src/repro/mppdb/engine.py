@@ -31,6 +31,8 @@ the fixed-width row accounting of the paper's database tables.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -173,6 +175,17 @@ class Engine:
             self.spark.catalog.dropTempView(self.ref(name))
             self._tables.pop(name).free()
 
+    def detach(self, name: str) -> DataFrame:
+        """Remove ``name`` from the catalog and hand its rows to the caller.
+
+        The table's blocks are not freed: from now on they belong to the
+        returned DataFrame, and Spark's ContextCleaner releases them once it
+        is garbage-collected.  Runs no Spark job.
+        """
+        self._check_exists(name)
+        self.spark.catalog.dropTempView(self.ref(name))
+        return self._tables.pop(name).df
+
     def rename(self, old: str, new: str) -> None:
         """``ALTER TABLE old RENAME TO new`` (old must exist, new must not)."""
         self._check_exists(old)
@@ -210,13 +223,19 @@ class Engine:
 
         The rows' RDD is local-checkpointed, so lineage is cut at its first
         action: the ``count()`` that both materialises and counts the table
-        (one Spark job when the query has no shuffle).  The stored DataFrame is a new ``LogicalRDD`` leaf built
-        with ``df``'s schema: it carries no statistics from ``df``'s plan, so
-        size estimates cannot compound over rounds.
+        (one Spark job when the query has no shuffle).  If the query fails,
+        the marked RDD is unpersisted before the error propagates.  The
+        stored DataFrame is a new ``LogicalRDD`` leaf built with ``df``'s
+        schema: it carries no statistics from ``df``'s plan, so size
+        estimates cannot compound over rounds.
         """
         jrdd = df._jdf.javaRDD()
         jrdd.rdd().localCheckpoint()
-        n = jrdd.count()
+        try:
+            n = jrdd.count()
+        except BaseException:
+            jrdd.unpersist(False)
+            raise
         stored = DataFrame(
             self.spark._jsparkSession.createDataFrame(jrdd, df._jdf.schema()), self.spark
         )
@@ -241,3 +260,23 @@ class Engine:
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("engine is closed")
+
+
+def with_engine(solve):
+    """Run ``solve(spark, ..., engine=...)`` on the caller's engine or on its own.
+
+    With ``engine=`` given, ``solve`` runs unchanged and its ``Result`` table
+    stays in that engine's catalog.  Otherwise ``solve`` gets a fresh engine
+    that is closed however it ends; on success the engine first hands its
+    ``Result`` table to the returned result with :meth:`Engine.detach`.
+    """
+
+    @functools.wraps(solve)
+    def run(spark: SparkSession, *args, engine: Engine | None = None, **kwargs):
+        if engine is not None:
+            return solve(spark, *args, engine=engine, **kwargs)
+        with Engine(spark) as eng:
+            res = solve(spark, *args, engine=eng, **kwargs)
+            return dataclasses.replace(res, result=eng.detach("Result"))
+
+    return run

@@ -6,6 +6,7 @@ from repro.core import connected_components, normalize_labels
 from repro.graphs import generators as G
 
 from tests.graph_cases import small_graphs
+from tests.residue import added_since, snapshot
 
 
 ALGOS = ["rc", "rc_fast", "rc_deterministic", "bfs", "hash_to_min", "two_phase", "cracker"]
@@ -14,8 +15,20 @@ ALGOS = ["rc", "rc_fast", "rc_deterministic", "bfs", "hash_to_min", "two_phase",
 @pytest.mark.parametrize("algorithm", ALGOS)
 def test_api_dispatch(spark, algorithm):
     pdf = small_graphs()["bridge"]
+    before = snapshot(spark)
     out = connected_components(spark, G.to_spark(spark, pdf), algorithm=algorithm)
+    # The owned engine is closed: no view is left, and only the labels stay cached.
+    assert added_since(spark, before) == (1, set())
     assert_valid_labels(out, pdf)
+
+
+@pytest.mark.parametrize("algorithm", ALGOS)
+def test_api_max_rounds_leaves_no_residue(spark, algorithm):
+    df = G.to_spark(spark, small_graphs()["bridge"])
+    before = snapshot(spark)
+    with pytest.raises(RuntimeError):
+        connected_components(spark, df, algorithm=algorithm, max_rounds=0)
+    assert added_since(spark, before) == (0, set())
 
 
 def test_unknown_algorithm_raises(spark):

@@ -7,6 +7,8 @@ from repro.core import connected_components
 from repro.graphs import generators as G
 from repro.mppdb import Engine, SpaceBudgetExceeded
 
+from tests.residue import added_since, cached_rdds, snapshot
+
 
 @pytest.fixture()
 def eng(spark):
@@ -145,11 +147,6 @@ def _run_with_timeout(fn, seconds=120):
     return out["value"]
 
 
-def _cached_rdds(spark) -> set[int]:
-    """IDs of the RDDs the session currently keeps persisted."""
-    return set(spark.sparkContext._jsc.getPersistentRDDs())
-
-
 class TestMaterialise:
     """One counting job over lineage-cut rows, kept in memory under a fresh leaf."""
 
@@ -241,6 +238,46 @@ class TestMaterialise:
         assert got == {k: [n, n + 1, n + 2, n + 2] for k, n in sizes.items()}
 
 
+class TestDetach:
+    """``detach`` hands a table's blocks to the caller without copying them."""
+
+    def test_detach_hands_over_storage(self, spark):
+        start = cached_rdds(spark)
+        e = Engine(spark)
+        e.ctas("a", "select id from range(6)")
+        e.ctas("b", "select id from range(2)")
+        ref, held = e.ref("a"), cached_rdds(spark) - start
+        assert e.live_rows == 8
+        df = e.detach("a")
+        assert e.tables() == ["b"]
+        assert e.live_rows == 2
+        with pytest.raises(Exception):
+            spark.sql(f"select * from {ref}").collect()
+        assert cached_rdds(spark) - start == held
+        e.close()
+        assert df.count() == 6
+        assert df.count() == 6
+        assert len(cached_rdds(spark) - start) == 1
+
+    def test_detach_missing_leaves_catalog_intact(self, eng, spark):
+        eng.ctas("a", "select id from range(3)")
+        with pytest.raises(ValueError):
+            eng.detach("nope")
+        assert eng.tables() == ["a"] and eng.rows("a") == 3
+        assert spark.sql(f"select count(*) c from {eng.ref('a')}").collect()[0]["c"] == 3
+
+    def test_detach_runs_no_job(self, eng, spark):
+        eng.ctas("t", "select id as v from range(10)")
+        sc = spark.sparkContext
+        group = f"no-job-{eng.ref('t')}"
+        sc.setJobGroup(group, "detach job-count guard")
+        try:
+            eng.detach("t")
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 0
+
+
 class TestBudget:
     def test_budget_exceeded(self, spark):
         with Engine(spark, max_live_rows=100) as e:
@@ -272,19 +309,19 @@ class TestLifecycle:
             e.ctas("a", "select 1")
 
     def test_closed_engine_rejects_register_input(self, spark):
-        before = _cached_rdds(spark)
+        before = cached_rdds(spark)
         e = Engine(spark)
         e.close()
         with pytest.raises(RuntimeError):
             e.register_input("G", spark.range(3).selectExpr("id as v", "id as w"))
-        assert _cached_rdds(spark) <= before
+        assert cached_rdds(spark) <= before
         assert not spark.catalog.tableExists(e.ref("G"))
 
     def test_storage_freed_by_drop_rename_and_close(self, spark):
-        start = _cached_rdds(spark)
+        start = cached_rdds(spark)
 
         def added():
-            return len(_cached_rdds(spark) - start)
+            return len(cached_rdds(spark) - start)
 
         e = Engine(spark)
         e.register_input("G", spark.range(3).selectExpr("id as v", "id as w"))
@@ -303,20 +340,32 @@ class TestLifecycle:
         assert added() == 0
 
     def test_storage_freed_after_budget_exceeded(self, spark):
-        start = _cached_rdds(spark)
+        start = cached_rdds(spark)
         with pytest.raises(SpaceBudgetExceeded):
             with Engine(spark, max_live_rows=10) as e:
                 e.ctas("a", "select id from range(5)")
-                assert len(_cached_rdds(spark) - start) == 1
+                assert len(cached_rdds(spark) - start) == 1
                 e.ctas("b", "select id from range(50)")
-        assert _cached_rdds(spark) <= start
+        assert cached_rdds(spark) <= start
+
+    def test_failed_ctas_leaves_no_storage(self, spark):
+        # raise_error fails inside the counting job, after the rows' RDD has
+        # been marked for a local checkpoint (and so persisted).
+        before = snapshot(spark)
+        e = Engine(spark)
+        with pytest.raises(Exception, match="boom"):
+            e.ctas("a", "select raise_error('boom') as x from range(3)")
+        assert added_since(spark, before) == (0, set())
+        assert e.tables() == []
+        e.close()
+        assert added_since(spark, before) == (0, set())
 
     def test_labels_outlive_their_engine(self, spark):
         pdf = G.path(20, numbering="sequential")
-        start = _cached_rdds(spark)
+        start = cached_rdds(spark)
         labels = connected_components(spark, G.to_spark(spark, pdf), seed=3)
         # The owned engine is closed; only the detached labels stay cached.
-        assert len(_cached_rdds(spark) - start) == 1
+        assert len(cached_rdds(spark) - start) == 1
         assert labels.count() == 20
         assert labels.count() == 20
         assert labels.select("r").distinct().count() == 1

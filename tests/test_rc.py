@@ -12,6 +12,7 @@ from repro.graphs import generators as G
 from repro.mppdb import Engine
 
 from tests.graph_cases import SMALL_GRAPH_NAMES, small_graphs
+from tests.residue import added_since, snapshot
 
 VARIANTS = {
     "fig3": randomised_contraction,
@@ -118,8 +119,10 @@ class TestGFPDomain:
     )
     def test_out_of_domain_ids_raise(self, spark, variant, pairs):
         df = spark.createDataFrame(pairs, "v long, w long")
+        before = snapshot(spark)
         with pytest.raises(Exception, match=rf"outside the GF\(p\) domain \[0, {gfp.P}\)"):
             VARIANTS[variant](spark, df, method="gfp", seed=0)
+        assert added_since(spark, before) == (0, set())
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_largest_id_in_domain(self, spark, variant):
