@@ -8,7 +8,9 @@ Public surface:
 * :mod:`repro.core.contraction` — the Randomised Contraction algorithm
   (Figs 3 & 4) with all three randomisation methods of §V-C;
 * :mod:`repro.baselines` — Hash-to-Min, Two-Phase, Cracker, naive BFS;
-* :mod:`repro.mppdb` — the metered in-Spark SQL execution engine;
+  every solver returns one :class:`repro.mppdb.SolveResult`;
+* :mod:`repro.mppdb` — the metered in-Spark SQL execution engine, which
+  numbers each solve's rounds and enforces its ``max_rounds`` cap;
 * :mod:`repro.graphs` — Table II dataset stand-ins;
 * :mod:`repro.analysis` — harness, oracles and table formatting.
 """

@@ -6,8 +6,9 @@ of steps") and component counts (Table II).
 
 The paper's "—" entries are algorithms that exhausted the cluster's
 resources; here the engine enforces ``budget_factor ×`` the (doubled)
-input edge count as a live-row budget and an aborted run is recorded with
-``aborted=True``.
+input edge count as a live-row budget, and a run that exceeds it or its
+algorithm's round cap is recorded with ``aborted=True``.  Any other error
+propagates.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from ..baselines import bfs_cc, cracker, hash_to_min, two_phase
 from ..core.contraction import randomised_contraction, randomised_contraction_fast
 from ..graphs import generators as G
 from ..graphs.datasets import get_dataset
-from ..mppdb import Engine, SpaceBudgetExceeded
+from ..mppdb import Engine, RoundLimitExceeded, SpaceBudgetExceeded
 from .union_find import assert_valid_labels
 
 #: Algorithm registry: name → callable(spark, edges, engine, seed) → result.
@@ -97,11 +98,10 @@ def run_algorithm(
         else None
     )
     t0 = time.perf_counter()
-    aborted, reason, n_vertices, n_components, rounds = False, None, 0, 0, 0
+    aborted, reason, n_vertices, n_components = False, None, 0, 0
     with Engine(spark, max_live_rows=budget) as eng:
         try:
             res = fn(spark, edges, eng, seed)
-            rounds = res.rounds
             counts = res.result.selectExpr(
                 "count(*) as nv", "count(distinct r) as nc"
             ).collect()[0]
@@ -110,10 +110,8 @@ def run_algorithm(
                 assert_valid_labels(res.result, verify_against)
         except SpaceBudgetExceeded as ex:
             aborted, reason = True, f"space budget: {ex}"
-            rounds = eng.stats.rounds
-        except RuntimeError as ex:
+        except RoundLimitExceeded as ex:
             aborted, reason = True, str(ex)
-            rounds = eng.stats.rounds
         seconds = time.perf_counter() - t0
         st = eng.stats
         return RunRecord(
@@ -122,7 +120,7 @@ def run_algorithm(
             profile=profile,
             seed=seed,
             seconds=seconds,
-            rounds=rounds,
+            rounds=eng.round,
             n_queries=st.n_queries,
             input_rows=st.input_rows,
             input_bytes=st.input_bytes,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..mppdb import Engine, with_engine
-from .common import AlgoResult, setup_symmetric
+from ..mppdb import Engine, SolveResult, with_engine
+from .common import setup_symmetric, setup_vertices
 
 
 @with_engine
@@ -22,10 +22,11 @@ def bfs_cc(
     *,
     engine: Engine | None = None,
     max_rounds: int = 100_000,
-) -> AlgoResult:
+) -> SolveResult:
     """Min-label propagation until fixpoint; returns labels (v, r)."""
     eng = engine
-    setup_symmetric(eng, edges, loops=True)
+    setup_symmetric(eng, edges)
+    setup_vertices(eng)
     # ES = symmetric edges plus a self loop per vertex, so a vertex's own
     # label participates in each min.
     eng.ctas(
@@ -39,12 +40,8 @@ def bfs_cc(
         f"select v, min(w) as r from {eng.ref('ES')} group by v",
         label="init_labels",
     )
-    rounds = 0
     while True:
-        eng.next_round()
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError(f"no convergence after {max_rounds} rounds")
+        eng.next_round(max_rounds)
         eng.ctas(
             "L2",
             f"select e.v as v, min(l.r) as r "
@@ -63,4 +60,4 @@ def bfs_cc(
             break
     eng.drop("ES", "V")
     eng.rename("L", "Result")
-    return AlgoResult(eng.table("Result"), rounds, eng.stats, "bfs")
+    return SolveResult(eng.table("Result"), eng.round, eng.stats, "bfs")

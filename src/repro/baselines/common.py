@@ -1,44 +1,33 @@
-"""Shared pieces for the baseline connected-components algorithms."""
+"""Shared statements of the connected-components algorithms (RC and baselines)."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 
-from ..mppdb import Engine, EngineStats
+from ..mppdb import Engine
 
 
-@dataclass
-class AlgoResult:
-    """Outcome of one baseline run (shape-compatible with RCResult)."""
-
-    result: DataFrame  # columns (v, r)
-    rounds: int
-    stats: EngineStats
-    algorithm: str
-
-
-def setup_symmetric(eng: Engine, edges: DataFrame, *, loops: bool) -> int:
-    """Register input G and create E = G ∪ reversed(G) (optionally loop-free).
-
-    Also creates the vertex universe table ``V`` (one column ``v``) used to
-    emit a label for isolated vertices, which leave the edge tables early.
-    """
+def setup_symmetric(eng: Engine, edges: DataFrame) -> int:
+    """Register input G and create the symmetric edge table E = G ∪ reversed(G)."""
     eng.register_input("G", edges.select("v", "w"))
     g = eng.ref("G")
-    where = "" if loops else " where v != w"
-    n = eng.ctas(
+    return eng.ctas(
         "E",
-        f"select v, w from {g}{where} "
-        f"union all select w as v, v as w from {g}{where}",
+        f"select v, w from {g} union all select w as v, v as w from {g}",
         label="setup",
     )
-    eng.ctas(
+
+
+def setup_vertices(eng: Engine) -> int:
+    """Create the vertex universe table ``V`` (one column ``v``) from input G.
+
+    It gives a label to isolated vertices, which leave the edge tables early.
+    """
+    g = eng.ref("G")
+    return eng.ctas(
         "V",
         f"select distinct v from (select v from {g} union all select w from {g})",
         label="setup_vertices",
     )
-    return n
 
 
 def sig(eng: Engine, table: str, cols: str = "v, w") -> tuple[int, int]:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..mppdb import Engine, with_engine
-from .common import AlgoResult, setup_symmetric
+from ..mppdb import Engine, SolveResult, with_engine
+from .common import setup_symmetric, setup_vertices
 
 
 def _with_self_loops(eng: Engine, edge_table: str, out: str) -> int:
@@ -42,10 +42,11 @@ def cracker(
     *,
     engine: Engine | None = None,
     max_rounds: int = 200,
-) -> AlgoResult:
+) -> SolveResult:
     """Cracker connected components; returns labels (v, r)."""
     eng = engine
-    setup_symmetric(eng, edges, loops=True)
+    setup_symmetric(eng, edges)
+    setup_vertices(eng)
     eng.ctas(
         "G0",
         f"select v as u, w from {eng.ref('E')}",
@@ -55,12 +56,8 @@ def cracker(
     _with_self_loops(eng, "G0", "ES")
     eng.drop("G0")
     tree_tables: list[str] = []
-    rounds = 0
     while True:
-        eng.next_round()
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError(f"no convergence after {max_rounds} rounds")
+        rnd = eng.next_round(max_rounds)
         es = eng.ref("ES")
         eng.ctas(
             "MIN",
@@ -81,7 +78,7 @@ def cracker(
         )
         r, rmin = eng.ref("R"), eng.ref("RMIN")
         # Pruned nodes: never nominated (v ∉ R(v)); they hang off min(R(v)).
-        t = f"T{rounds}"
+        t = f"T{rnd}"
         eng.ctas(
             t,
             f"select rm.rmin as parent, rm.v as child from {rmin} rm "
@@ -116,10 +113,7 @@ def cracker(
         label="seeds",
     )
     while eng.rows("L") < n_vertices:
-        eng.next_round()
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError(f"propagation stuck after {max_rounds} rounds")
+        eng.next_round(max_rounds)
         n_before = eng.rows("L")
         eng.ctas(
             "L2",
@@ -135,4 +129,4 @@ def cracker(
             raise RuntimeError("propagation made no progress (broken tree)")
     eng.drop("TREE", "V")
     eng.rename("L", "Result")
-    return AlgoResult(eng.table("Result"), rounds, eng.stats, "cracker")
+    return SolveResult(eng.table("Result"), eng.round, eng.stats, "cracker")

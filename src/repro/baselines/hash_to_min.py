@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..mppdb import Engine, with_engine
-from .common import AlgoResult, setup_symmetric, sig
+from ..mppdb import Engine, SolveResult, with_engine
+from .common import setup_symmetric, setup_vertices, sig
 
 
 @with_engine
@@ -27,10 +27,11 @@ def hash_to_min(
     *,
     engine: Engine | None = None,
     max_rounds: int = 200,
-) -> AlgoResult:
+) -> SolveResult:
     """Hash-to-Min connected components; returns labels (v, r)."""
     eng = engine
-    setup_symmetric(eng, edges, loops=True)
+    setup_symmetric(eng, edges)
+    setup_vertices(eng)
     # C(v) = N[v]: neighbours plus self.
     eng.ctas(
         "C",
@@ -40,12 +41,8 @@ def hash_to_min(
     )
     eng.drop("E")
     prev = sig(eng, "C", "v, u")
-    rounds = 0
     while True:
-        eng.next_round()
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError(f"no convergence after {max_rounds} rounds")
+        eng.next_round(max_rounds)
         eng.ctas(
             "M",
             f"select v, min(u) as m from {eng.ref('C')} group by v",
@@ -78,4 +75,4 @@ def hash_to_min(
         label="labels",
     )
     eng.drop("C", "V")
-    return AlgoResult(eng.table("Result"), rounds, eng.stats, "hash_to_min")
+    return SolveResult(eng.table("Result"), eng.round, eng.stats, "hash_to_min")

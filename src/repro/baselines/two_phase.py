@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..mppdb import Engine, with_engine
-from .common import AlgoResult, sig
+from ..mppdb import Engine, SolveResult, with_engine
+from .common import setup_vertices, sig
 
 
 @with_engine
@@ -32,7 +32,7 @@ def two_phase(
     *,
     engine: Engine | None = None,
     max_rounds: int = 400,
-) -> AlgoResult:
+) -> SolveResult:
     """Alternating large-star/small-star; returns labels (v, r)."""
     eng = engine
     eng.register_input("G", edges.select("v", "w"))
@@ -44,19 +44,11 @@ def two_phase(
         f"from {g} where v != w",
         label="setup",
     )
-    eng.ctas(
-        "V",
-        f"select distinct v from (select v from {g} union all select w from {g})",
-        label="setup_vertices",
-    )
+    setup_vertices(eng)
     prev = sig(eng, "E")
-    rounds = 0
     while True:
         # --- large-star ---
-        eng.next_round()
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError(f"no convergence after {max_rounds} rounds")
+        eng.next_round(max_rounds)
         e = eng.ref("E")
         # Both directions are expanded inside the query only; the stored
         # output (w > m(v) always) is canonical again.
@@ -77,8 +69,7 @@ def two_phase(
         eng.rename("S", "E")
 
         # --- small-star ---
-        eng.next_round()
-        rounds += 1
+        eng.next_round(max_rounds)
         e = eng.ref("E")
         # Stored orientation v > w means E *is* the smaller-neighbour list.
         eng.ctas(
@@ -118,4 +109,4 @@ def two_phase(
         label="labels",
     )
     eng.drop("E", "ML", "V")
-    return AlgoResult(eng.table("Result"), rounds, eng.stats, "two_phase")
+    return SolveResult(eng.table("Result"), eng.round, eng.stats, "two_phase")

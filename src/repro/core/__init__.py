@@ -1,13 +1,10 @@
 """The paper's contribution: Randomised Contraction."""
+from ..mppdb import SolveResult
 from .api import connected_components, normalize_labels
-from .contraction import (
-    RCResult,
-    randomised_contraction,
-    randomised_contraction_fast,
-)
+from .contraction import randomised_contraction, randomised_contraction_fast
 
 __all__ = [
-    "RCResult",
+    "SolveResult",
     "connected_components",
     "normalize_labels",
     "randomised_contraction",

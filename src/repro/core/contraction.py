@@ -21,50 +21,22 @@ through :class:`repro.mppdb.Engine` so rounds, rows and bytes are metered.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
 
+from ..baselines.common import setup_symmetric
 from ..ff.methods import Method, get_method
-from ..mppdb import Engine, EngineStats, with_engine
+from ..mppdb import Engine, SolveResult, with_engine
 
 
-@dataclass
-class RCResult:
-    """Outcome of one Randomised Contraction run."""
-
-    result: DataFrame  # columns (v, r)
-    rounds: int
-    stats: EngineStats
-    method: str
-    variant: str
-    seed: int
-
-
-def _setup_edges(eng: Engine, edges: DataFrame) -> int:
-    """Create the symmetric working edge table E = G ∪ reversed(G)."""
-    eng.register_input("G", edges.select("v", "w"))
-    g = eng.ref("G")
-    return eng.ctas(
-        "E",
-        f"select v, w from {g} union all select w as v, v as w from {g}",
-        label="setup",
-    )
-
-
-def _contract_round(
-    eng: Engine, m: Method, rng: random.Random, i: int, max_rounds: int, r: str
-) -> tuple[object, int]:
-    """Round ``i``, shared by Figs 3 and 4: contract E through a new table ``r``.
+def _contract_round(eng: Engine, m: Method, rng: random.Random, r: str) -> tuple[object, int]:
+    """One round, shared by Figs 3 and 4: contract E through a new table ``r``.
 
     Draws the round's parameters, builds the representative table ``r`` for
     E, maps both edge endpoints through it (dropping loops and duplicates)
     and makes the contracted graph the new E.  Returns the parameters and
     the contracted edge count, which is 0 once every component is a vertex.
     """
-    eng.next_round()
-    if i > max_rounds:
-        raise RuntimeError(f"no convergence after {max_rounds} rounds")
     params = m.draw(rng)
     m.make_rep_table(eng, "E", r, params)
     rowcount = eng.ctas(
@@ -88,18 +60,17 @@ def randomised_contraction(
     seed: int = 0,
     engine: Engine | None = None,
     max_rounds: int = 512,
-) -> RCResult:
+) -> SolveResult:
     """Fig 3 variant: deterministic linear space."""
     m = get_method(method)
     m.prepare(spark)
     rng = random.Random(seed)
     eng = engine
-    _setup_edges(eng, edges)
-    rounds = 0
+    setup_symmetric(eng, edges)
     while True:
-        rounds += 1
-        params, rowcount = _contract_round(eng, m, rng, rounds, max_rounds, "R")
-        if rounds == 1:
+        rnd = eng.next_round(max_rounds)
+        params, rowcount = _contract_round(eng, m, rng, "R")
+        if rnd == 1:
             eng.rename("R", "L")
         else:
             miss = m.missing_sql(params, "L.r")
@@ -115,7 +86,7 @@ def randomised_contraction(
         if rowcount == 0:
             break
     eng.rename("L", "Result")
-    return RCResult(eng.table("Result"), rounds, eng.stats, m.name, "fig3", seed)
+    return SolveResult(eng.table("Result"), eng.round, eng.stats, "rc_fig3")
 
 
 @with_engine
@@ -127,22 +98,20 @@ def randomised_contraction_fast(
     seed: int = 0,
     engine: Engine | None = None,
     max_rounds: int = 512,
-) -> RCResult:
+) -> SolveResult:
     """Fig 4 variant: small-to-large composition, stochastic linear space."""
     m = get_method(method)
     m.prepare(spark)
     rng = random.Random(seed)
     eng = engine
-    _setup_edges(eng, edges)
+    setup_symmetric(eng, edges)
     stack: list = []
-    i = 0
     while True:
-        i += 1
-        params, rowcount = _contract_round(eng, m, rng, i, max_rounds, f"R{i}")
+        i = eng.next_round(max_rounds)
+        params, rowcount = _contract_round(eng, m, rng, f"R{i}")
         stack.append(params)
         if rowcount == 0:
             break
-    rounds = i
     eng.drop("E")  # empty by termination; the paper drops ccgraph too
     acc = m.identity_params if m.relabels else None
     while i > 1:
@@ -163,4 +132,4 @@ def randomised_contraction_fast(
         eng.drop(f"R{i}", f"R{i + 1}")
         eng.rename("T", f"R{i}")
     eng.rename("R1", "Result")
-    return RCResult(eng.table("Result"), rounds, eng.stats, m.name, "fig4", seed)
+    return SolveResult(eng.table("Result"), eng.round, eng.stats, "rc_fig4")

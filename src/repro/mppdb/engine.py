@@ -18,6 +18,8 @@ SparkSession:
   BigIntegers in ``SizeInBytesOnlyStatsPlanVisitor``.)
 * :meth:`ref` resolves logical → run-unique temp-view names so algorithm
   code can embed table names in SQL strings;
+* the engine numbers the rounds of a solve and enforces its round cap:
+  :meth:`next_round` raises :class:`RoundLimitExceeded` past ``max_rounds``;
 * per-statement metrics (rows, bytes, seconds, round number) feed the
   reproduction of the paper's Tables III–V;
 * the engine changes no session setting: the session's owner configures it;
@@ -57,6 +59,24 @@ class SpaceBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+class RoundLimitExceeded(RuntimeError):
+    """Raised when a solve would start a round past its ``max_rounds`` cap."""
+
+    def __init__(self, max_rounds: int):
+        super().__init__(f"no convergence after {max_rounds} rounds")
+        self.max_rounds = max_rounds
+
+
+@dataclass
+class SolveResult:
+    """Outcome of one connected-components solve, for every algorithm."""
+
+    result: DataFrame  # columns (v, r)
+    rounds: int
+    stats: EngineStats
+    algorithm: str
+
+
 @dataclass
 class _Table:
     """One catalog entry: the stored DataFrame, its checkpointed rows and its size."""
@@ -76,7 +96,12 @@ def _row_width(df: DataFrame) -> int:
 
 
 class Engine:
-    """A metered SQL execution context. Use as a context manager."""
+    """A metered SQL execution context for one solve. Use as a context manager.
+
+    The engine is the only owner of the solve's round number: algorithms
+    start each round with :meth:`next_round`, which also enforces their
+    round cap, and report :attr:`round` as the rounds they ran.
+    """
 
     def __init__(self, spark: SparkSession, *, max_live_rows: int | None = None):
         self.spark = spark
@@ -113,8 +138,15 @@ class Engine:
 
     # --- rounds ------------------------------------------------------
 
-    def next_round(self) -> int:
-        """Advance the round counter (one paper-algorithm iteration)."""
+    def next_round(self, max_rounds: int) -> int:
+        """Start the next round (one paper-algorithm iteration) and return its number.
+
+        Raises :class:`RoundLimitExceeded` instead when ``max_rounds`` rounds
+        have already run.  The cap is checked before the counter moves, so an
+        aborted solve's :attr:`round` is the number of rounds it ran.
+        """
+        if self._round >= max_rounds:
+            raise RoundLimitExceeded(max_rounds)
         self._round += 1
         return self._round
 
@@ -265,6 +297,8 @@ class Engine:
 def with_engine(solve):
     """Run ``solve(spark, ..., engine=...)`` on the caller's engine or on its own.
 
+    ``solve`` returns a :class:`SolveResult` whose ``result`` is the engine's
+    ``Result`` table and whose ``rounds`` is the engine's round number.
     With ``engine=`` given, ``solve`` runs unchanged and its ``Result`` table
     stays in that engine's catalog.  Otherwise ``solve`` gets a fresh engine
     that is closed however it ends; on success the engine first hands its

@@ -4,6 +4,7 @@ import pytest
 from repro.analysis.union_find import assert_valid_labels
 from repro.core import connected_components, normalize_labels
 from repro.graphs import generators as G
+from repro.mppdb import RoundLimitExceeded
 
 from tests.graph_cases import small_graphs
 from tests.residue import added_since, snapshot
@@ -26,7 +27,7 @@ def test_api_dispatch(spark, algorithm):
 def test_api_max_rounds_leaves_no_residue(spark, algorithm):
     df = G.to_spark(spark, small_graphs()["bridge"])
     before = snapshot(spark)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RoundLimitExceeded):
         connected_components(spark, df, algorithm=algorithm, max_rounds=0)
     assert added_since(spark, before) == (0, set())
 

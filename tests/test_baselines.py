@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.union_find import assert_valid_labels
 from repro.baselines import bfs_cc, cracker, hash_to_min, two_phase
 from repro.graphs import generators as G
-from repro.mppdb import Engine, SpaceBudgetExceeded
+from repro.mppdb import Engine, RoundLimitExceeded, SpaceBudgetExceeded
 
 from tests.graph_cases import SMALL_GRAPH_NAMES, small_graphs
 
@@ -87,6 +87,12 @@ class TestTwoPhase:
         with Engine(spark) as eng:
             two_phase(spark, G.to_spark(spark, pdf), engine=eng)
             assert eng.stats.peak_live_rows <= 12 * len(pdf)
+
+    def test_small_star_counts_against_the_cap(self, spark):
+        """One large-star plus one small-star round is 2 rounds: a cap of 1 stops it."""
+        df = G.to_spark(spark, small_graphs()["single_edge"])
+        with pytest.raises(RoundLimitExceeded, match="after 1 rounds"):
+            two_phase(spark, df, max_rounds=1)
 
 
 class TestCracker:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import connected_components
 from repro.graphs import generators as G
-from repro.mppdb import Engine, SpaceBudgetExceeded
+from repro.mppdb import Engine, RoundLimitExceeded, SpaceBudgetExceeded
 
 from tests.residue import added_since, cached_rdds, snapshot
 
@@ -101,11 +101,16 @@ class TestMetering:
 
     def test_rounds(self, eng):
         assert eng.round == 0
-        eng.next_round()
+        assert eng.next_round(2) == 1
         eng.ctas("a", "select id from range(1)")
-        eng.next_round()
+        assert eng.next_round(2) == 2
         eng.ctas("b", "select id from range(1)")
         assert eng.stats.rounds == 2
+        # The cap is checked before the counter moves, so an abort leaves the
+        # engine at the last round that ran.
+        with pytest.raises(RoundLimitExceeded, match="no convergence after 2 rounds"):
+            eng.next_round(2)
+        assert eng.round == eng.stats.rounds == 2
 
     def test_scalar_and_row(self, eng):
         eng.ctas("a", "select id from range(9)")

@@ -1,4 +1,6 @@
 """Randomised Contraction correctness battery (both variants, all methods)."""
+import dataclasses
+
 import pandas as pd
 import pytest
 
@@ -9,7 +11,7 @@ from repro.core.contraction import (
 )
 from repro.ff import gfp
 from repro.graphs import generators as G
-from repro.mppdb import Engine
+from repro.mppdb import Engine, RoundLimitExceeded, SolveResult
 
 from tests.graph_cases import SMALL_GRAPH_NAMES, small_graphs
 from tests.residue import added_since, snapshot
@@ -106,7 +108,7 @@ class TestRounds:
 
     def test_max_rounds_guard(self, spark):
         df = spark.createDataFrame([(1, 2), (2, 3)], "v long, w long")
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RoundLimitExceeded):
             randomised_contraction_fast(spark, df, seed=0, max_rounds=0)
 
 
@@ -154,5 +156,9 @@ class TestEngineIntegration:
         res = randomised_contraction_fast(
             spark, G.to_spark(spark, graphs["single_edge"]), method="gfp", seed=0
         )
-        assert res.method == "gfp" and res.variant == "fig4"
-        assert res.rounds >= 1 and res.stats.n_ctas > 0
+        assert isinstance(res, SolveResult)
+        assert [f.name for f in dataclasses.fields(res)] == [
+            "result", "rounds", "stats", "algorithm"
+        ]
+        assert res.algorithm == "rc_fig4"
+        assert res.rounds == res.stats.rounds >= 1 and res.stats.n_ctas > 0
