@@ -69,7 +69,7 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). The session itself is built by the jobs' own
     ``get_spark``, so tests run with the settings the jobs and the benchmark
-    use (shuffle partitions, Arrow, broadcast joins disabled).
+    use (shuffle partitions, Arrow, Spark's default broadcast threshold).
     """
     s = _get_spark()("repro")
     # One line in test_output.txt that tells the driver whether the

@@ -10,12 +10,15 @@ SparkSession:
   one ``count()`` over the query's rows whose lineage is cut by a local
   checkpoint (blocks kept MEMORY_AND_DISK), and the table is a fresh
   DataFrame over those rows with the schema the engine already knows.  The
-  fresh leaf severs Catalyst lineage *and statistics* between rounds.
-  (Materialising via ``DataFrame.localCheckpoint`` instead is a known trap
-  for iterative SQL: Spark carries the origin plan's size estimate into the
-  checkpointed relation, the estimates multiply at every self-join round,
-  and after ~12 rounds the planner spends minutes multiplying million-digit
-  BigIntegers in ``SizeInBytesOnlyStatsPlanVisitor``.)
+  fresh leaf severs Catalyst lineage between rounds and carries the table's
+  *exact* statistics (the counted rows), so Spark's planner can broadcast a
+  small table into a join, as an MPP database's planner picks a broadcast
+  motion from its table sizes.  (Materialising via
+  ``DataFrame.localCheckpoint`` instead is a known trap for iterative SQL:
+  Spark carries the origin plan's size *estimate* into the checkpointed
+  relation, the estimates multiply at every self-join round, and after ~12
+  rounds the planner spends minutes multiplying million-digit BigIntegers in
+  ``SizeInBytesOnlyStatsPlanVisitor``.)
 * :meth:`ref` resolves logical → run-unique temp-view names so algorithm
   code can embed table names in SQL strings;
 * the engine numbers the rounds of a solve and enforces its round cap:
@@ -39,7 +42,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from py4j.java_gateway import JavaObject
+from py4j.java_gateway import JavaClass, JavaObject
 from pyspark.sql import DataFrame, SparkSession
 
 from .metrics import EngineStats, QueryRecord
@@ -48,6 +51,9 @@ _engine_ids = itertools.count()
 
 #: Estimated storage width in bytes per Spark SQL type name.
 _WIDTHS = {"bigint": 8, "double": 8, "int": 4, "float": 4, "boolean": 1}
+
+#: ``Int.MaxValue``: the largest row count a ``limit`` can express.
+_INT_MAX = 2**31 - 1
 
 
 class SpaceBudgetExceeded(RuntimeError):
@@ -91,6 +97,35 @@ class _Table:
         self.jrdd.unpersist(False)
 
 
+@dataclass(frozen=True)
+class _Jvm:
+    """The JVM handles of the store step, looked up once per engine.
+
+    Each py4j class lookup is a round trip to the JVM (about 2 ms on a
+    4-vCPU host), which a CTAS would otherwise pay several times.
+    """
+
+    session: JavaObject  # the classic SparkSession
+    some: JavaClass  # scala.Some
+    none: JavaObject  # scala.None
+    limit: JavaObject  # catalyst's Limit companion object
+    literal: JavaObject  # catalyst's Literal companion object
+    dataset: JavaClass  # classic.Dataset, for Dataset.ofRows
+
+    @classmethod
+    def of(cls, spark: SparkSession) -> "_Jvm":
+        jvm = spark._jvm
+        catalyst = jvm.org.apache.spark.sql.catalyst
+        return cls(
+            spark._jsparkSession,
+            jvm.scala.Some,
+            jvm.scala.Option.empty(),
+            getattr(getattr(catalyst.plans.logical, "Limit$"), "MODULE$"),
+            getattr(getattr(catalyst.expressions, "Literal$"), "MODULE$"),
+            jvm.org.apache.spark.sql.classic.Dataset,
+        )
+
+
 def _row_width(df: DataFrame) -> int:
     return sum(_WIDTHS.get(f.dataType.simpleString(), 16) for f in df.schema.fields)
 
@@ -108,6 +143,7 @@ class Engine:
         self.stats = EngineStats()
         self.max_live_rows = max_live_rows
         self._prefix = f"mpp{next(_engine_ids)}"
+        self._jvm = _Jvm.of(spark)
         self._tables: dict[str, _Table] = {}
         self._round = 0
         self._closed = False
@@ -255,23 +291,45 @@ class Engine:
 
         The rows' RDD is local-checkpointed, so lineage is cut at its first
         action: the ``count()`` that both materialises and counts the table
-        (one Spark job when the query has no shuffle).  If the query fails,
-        the marked RDD is unpersisted before the error propagates.  The
-        stored DataFrame is a new ``LogicalRDD`` leaf built with ``df``'s
-        schema: it carries no statistics from ``df``'s plan, so size
-        estimates cannot compound over rounds.
+        (one Spark job when the query has no shuffle).  The stored DataFrame
+        is a new ``LogicalRDD`` leaf built with ``df``'s schema and the
+        exact statistics of the counted rows (:meth:`_leaf`).  If the query
+        or the store step fails, the marked RDD is unpersisted before the
+        error propagates.
         """
         jrdd = df._jdf.javaRDD()
         jrdd.rdd().localCheckpoint()
         try:
             n = jrdd.count()
+            stored = self._leaf(jrdd, df._jdf.schema(), n)
         except BaseException:
             jrdd.unpersist(False)
             raise
-        stored = DataFrame(
-            self.spark._jsparkSession.createDataFrame(jrdd, df._jdf.schema()), self.spark
-        )
         return _Table(stored, jrdd, n, n * _row_width(stored))
+
+    def _leaf(self, jrdd: JavaObject, jschema: JavaObject, n: int) -> DataFrame:
+        """A ``LogicalRDD`` leaf over ``n`` stored rows that reports their exact size.
+
+        ``rowCount`` is ``n`` and ``sizeInBytes`` is Spark's own row-size
+        estimate times ``n``, read off a ``Limit(n)`` over the bare leaf:
+        py4j turns a Scala ``BigInt`` into a Python ``int``, so the
+        ``Statistics`` must be built on the JVM side.  The figures come from
+        the rows, never from the plan that produced them, so they cannot
+        compound over rounds.  A table of ``Int.MaxValue`` rows or more
+        keeps the default estimate, since a limit is an ``Int``; it is far
+        above any broadcast threshold either way.
+        """
+        j = self._jvm
+        jdf = j.session.createDataFrame(jrdd, jschema)
+        if n < _INT_MAX:
+            leaf = jdf.queryExecution().analyzed()
+            stats = j.limit.apply(j.literal.apply(n), leaf).stats()
+            leaf = leaf.copy(
+                leaf.output(), leaf.rdd(), leaf.outputPartitioning(), leaf.outputOrdering(),
+                leaf.isStreaming(), leaf.stream(), j.session, j.some(stats), j.none,
+            )
+            jdf = j.dataset.ofRows(j.session, leaf)
+        return DataFrame(jdf, self.spark)
 
     def _install(self, name: str, t: _Table) -> None:
         self._tables[name] = t

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from repro.core import connected_components
+from repro.core import connected_components, randomised_contraction_fast
 from repro.graphs import generators as G
 from repro.mppdb import Engine, RoundLimitExceeded, SpaceBudgetExceeded
 
@@ -220,6 +220,30 @@ class TestMaterialise:
             assert len(str(size)) < 25, f"round {rnd}: sizeInBytes {str(size)[:40]}…"
         assert eng.rows("E") > 0
 
+    def test_stored_tables_report_exact_row_counts(self, eng, spark):
+        eng.register_input("G", spark.range(12).selectExpr("id as v", "id + 1 as w"))
+        eng.ctas("t", "select id from range(10) where id % 3 = 0")
+        eng.ctas("empty", "select id from range(0)")
+        for name in ("G", "t", "empty"):
+            stats = eng.table(name)._jdf.queryExecution().optimizedPlan().stats()
+            assert stats.rowCount().get() == eng.rows(name), name
+            assert 0 < stats.sizeInBytes() <= max(1, 64 * eng.rows(name)), name
+
+    def test_failed_store_step_leaves_no_storage(self, spark, monkeypatch):
+        # The counting job has run and the rows are persisted when the step
+        # that builds the stored leaf fails.
+        def fail(self, jrdd, jschema, n):
+            raise RuntimeError("leaf failed")
+
+        monkeypatch.setattr(Engine, "_leaf", fail)
+        before = snapshot(spark)
+        with Engine(spark) as e:
+            with pytest.raises(RuntimeError, match="leaf failed"):
+                e.ctas("a", "select id from range(3)")
+            assert e.tables() == []
+            assert added_since(spark, before) == (0, set())
+        assert added_since(spark, before) == (0, set())
+
     def test_concurrent_engines_count_their_own_rows(self, spark):
         sizes = {k: 10 * k + 3 for k in range(1, 5)}
         got, errors = {}, []
@@ -416,3 +440,38 @@ class TestSessionSettings:
             assert spark.conf.get(key) == "11"
         finally:
             spark.conf.set(key, original)
+
+
+class TestJoinPlanning:
+    """The stored tables' exact sizes decide between a broadcast and a shuffle join."""
+
+    @staticmethod
+    def contract_plans(spark, monkeypatch) -> list[str]:
+        """The physical plan of every contract statement of a small RC solve."""
+        plans, ctas = [], Engine.ctas
+
+        def spy(self, name, sql, *, label=None):
+            if label == "contract":
+                plans.append(self.spark.sql(sql)._jdf.queryExecution().executedPlan().toString())
+            return ctas(self, name, sql, label=label)
+
+        monkeypatch.setattr(Engine, "ctas", spy)
+        pdf = G.path(16, numbering="random", seed=1)
+        randomised_contraction_fast(spark, G.to_spark(spark, pdf), seed=1)
+        assert plans
+        return plans
+
+    def test_small_tables_are_broadcast(self, spark, monkeypatch):
+        for plan in self.contract_plans(spark, monkeypatch):
+            assert "BroadcastHashJoin" in plan and "SortMergeJoin" not in plan, plan
+
+    def test_tables_above_the_threshold_are_shuffled(self, spark, monkeypatch):
+        key = "spark.sql.autoBroadcastJoinThreshold"
+        original = spark.conf.get(key)
+        spark.conf.set(key, "1")  # bytes: below every non-empty table
+        try:
+            plans = self.contract_plans(spark, monkeypatch)
+        finally:
+            spark.conf.set(key, original)
+        for plan in plans:
+            assert "SortMergeJoin" in plan and "BroadcastHashJoin" not in plan, plan

@@ -1,5 +1,6 @@
-"""Experiment harness: metrics plausibility, aborts, persistence."""
+"""Experiment harness: metrics plausibility, aborts, faults, persistence."""
 import json
+import threading
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.analysis.harness import (
 )
 from repro.baselines import bfs_cc
 from repro.graphs import generators as G
+from repro.mppdb import Engine
 
 from tests.residue import added_since, snapshot
 
@@ -109,6 +111,62 @@ class TestRunAlgorithm:
             spark, "rc", G.to_spark(spark, pdf), budget_factor=None
         )
         assert not rec.aborted
+
+
+class _InjectedFault(RuntimeError):
+    """The error a fault-injection test makes one statement raise."""
+
+
+class TestFaultInjection:
+    """A solve whose k-th CTAS fails, for every k, with a healthy solve beside it."""
+
+    @pytest.mark.parametrize(
+        "algo, n",
+        [("rc", 5), ("hm", 3)],  # Fig 4: 3 rounds, 9 CTAS; hash-to-min: 3 rounds, 10 CTAS
+    )
+    def test_every_failed_statement_leaves_no_residue(self, spark, monkeypatch, algo, n):
+        pdf = G.path(n, numbering="sequential")
+        edges = G.to_spark(spark, pdf)
+        healthy_pdf = G.path(6, numbering="random", seed=1)
+        healthy_edges = G.to_spark(spark, healthy_pdf)
+        faulty_thread = threading.get_ident()
+        ctas, calls, fail_at = Engine.ctas, [0], [None]
+
+        def faulty_ctas(self, *args, **kwargs):
+            if threading.get_ident() == faulty_thread:
+                calls[0] += 1
+                if calls[0] == fail_at[0]:
+                    raise _InjectedFault(f"CTAS {calls[0]}")
+            return ctas(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "ctas", faulty_ctas)
+        rec = run_algorithm(spark, algo, edges, verify_against=pdf)
+        assert not rec.aborted and rec.rounds <= 3
+        n_ctas = calls[0]
+        assert n_ctas > 0
+
+        for k in range(1, n_ctas + 1):
+            calls[0], fail_at[0] = 0, k
+            before = snapshot(spark)
+            healthy, errors = [], []
+
+            def client():
+                try:
+                    healthy.append(
+                        run_algorithm(spark, "rc", healthy_edges, verify_against=healthy_pdf)
+                    )
+                except Exception as exc:  # reported on the test's thread below
+                    errors.append(exc)
+
+            t = threading.Thread(target=client, daemon=True)
+            t.start()
+            with pytest.raises(_InjectedFault, match=f"CTAS {k}$"):
+                run_algorithm(spark, algo, edges, verify_against=pdf)
+            t.join(300)
+            assert not t.is_alive(), k
+            assert errors == [], k
+            assert not healthy[0].aborted and healthy[0].n_components == 1, k
+            assert added_since(spark, before) == (0, set()), k
 
 
 class TestRunCell:
