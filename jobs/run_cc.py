@@ -2,7 +2,10 @@
 
 Usage:
   python jobs/run_cc.py --input edges.parquet --output labels.parquet \
-      [--algorithm rc] [--method gfp] [--seed 0] [--normalize]
+      [--algorithm rc] [--seed 0] [--normalize]
+
+``--algorithm`` is a key of ``repro.core.api.ALGORITHMS``; an RC name
+carries its randomisation method (``rc`` is GF(p), ``rc_feistel`` the cipher).
 
 The input must have two integer columns (taken as v, w).  CSV inputs are
 read with a header.
@@ -14,7 +17,7 @@ import sys
 
 
 def main(spark, input_path: str, output_path: str | None, *, algorithm="rc",
-         method="gfp", seed=0, normalize=False):
+         seed=0, normalize=False):
     from pyspark.sql import functions as F
 
     from repro.core import connected_components
@@ -29,8 +32,7 @@ def main(spark, input_path: str, output_path: str | None, *, algorithm="rc",
         F.col(c0).cast("long").alias("v"), F.col(c1).cast("long").alias("w")
     )
     labels = connected_components(
-        spark, edges, algorithm=algorithm, method=method, seed=seed,
-        normalize=normalize,
+        spark, edges, algorithm=algorithm, seed=seed, normalize=normalize
     )
     if output_path:
         labels.write.mode("overwrite").parquet(output_path)
@@ -45,14 +47,13 @@ if __name__ == "__main__":
     ap.add_argument("--input", required=True)
     ap.add_argument("--output", default=None)
     ap.add_argument("--algorithm", default="rc")
-    ap.add_argument("--method", default="gfp")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--normalize", action="store_true")
     args = ap.parse_args()
     spark = get_spark("run_cc")
     labels = main(
         spark, args.input, args.output, algorithm=args.algorithm,
-        method=args.method, seed=args.seed, normalize=args.normalize,
+        seed=args.seed, normalize=args.normalize,
     )
     n = labels.count()
     k = labels.select("r").distinct().count()

@@ -1,9 +1,8 @@
 """Experiment harness, oracles and report formatting."""
-from .harness import ALGORITHMS, RunRecord, load_records, run_algorithm, run_cell, save_records
+from .harness import RunRecord, load_records, run_algorithm, run_cell, save_records
 from .union_find import assert_valid_labels, components, components_pandas, n_components
 
 __all__ = [
-    "ALGORITHMS",
     "RunRecord",
     "run_algorithm",
     "run_cell",

@@ -16,41 +16,15 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from ..baselines import bfs_cc, cracker, hash_to_min, two_phase
-from ..core.contraction import randomised_contraction, randomised_contraction_fast
+from ..core.api import get_algorithm
 from ..graphs import generators as G
 from ..graphs.datasets import get_dataset
 from ..mppdb import Engine, RoundLimitExceeded, SpaceBudgetExceeded
 from .union_find import assert_valid_labels
-
-#: Algorithm registry: name → callable(spark, edges, engine, seed) → result.
-ALGORITHMS: dict[str, Callable] = {
-    "rc": lambda s, e, eng, seed: randomised_contraction_fast(
-        s, e, method="gfp", seed=seed, engine=eng
-    ),
-    "rc_fig3": lambda s, e, eng, seed: randomised_contraction(
-        s, e, method="gfp", seed=seed, engine=eng
-    ),
-    "rc_gf64": lambda s, e, eng, seed: randomised_contraction_fast(
-        s, e, method="gf64", seed=seed, engine=eng
-    ),
-    "rc_feistel": lambda s, e, eng, seed: randomised_contraction_fast(
-        s, e, method="feistel", seed=seed, engine=eng
-    ),
-    "rc_reals": lambda s, e, eng, seed: randomised_contraction_fast(
-        s, e, method="reals", seed=seed, engine=eng
-    ),
-    "hm": lambda s, e, eng, seed: hash_to_min(s, e, engine=eng),
-    "tp": lambda s, e, eng, seed: two_phase(s, e, engine=eng),
-    "cr": lambda s, e, eng, seed: cracker(s, e, engine=eng),
-    "bfs": lambda s, e, eng, seed: bfs_cc(s, e, engine=eng, max_rounds=2000),
-}
-
 
 @dataclass
 class RunRecord:
@@ -89,8 +63,11 @@ def run_algorithm(
     budget_factor: float | None = 25.0,
     verify_against: pd.DataFrame | None = None,
 ) -> RunRecord:
-    """Run one algorithm on one edge DataFrame through a fresh engine."""
-    fn = ALGORITHMS[algo]
+    """Run one algorithm on one edge DataFrame through a fresh engine.
+
+    ``algo`` is a key of :data:`repro.core.api.ALGORITHMS`.
+    """
+    solve = get_algorithm(algo)
     n_input = edges.count()
     budget = (
         max(int(budget_factor * 2 * n_input), 50_000)
@@ -101,7 +78,7 @@ def run_algorithm(
     aborted, reason, n_vertices, n_components = False, None, 0, 0
     with Engine(spark, max_live_rows=budget) as eng:
         try:
-            res = fn(spark, edges, eng, seed)
+            res = solve(spark, edges, seed=seed, engine=eng)
             counts = res.result.selectExpr(
                 "count(*) as nv", "count(distinct r) as nc"
             ).collect()[0]

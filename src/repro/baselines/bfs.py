@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..mppdb import Engine, SolveResult, with_engine
+from ..mppdb import Engine, with_engine
 from .common import setup_symmetric, setup_vertices
 
 
@@ -20,10 +20,11 @@ def bfs_cc(
     spark: SparkSession,
     edges: DataFrame,
     *,
+    seed: int = 0,  # unused: the algorithm draws nothing at random
     engine: Engine | None = None,
-    max_rounds: int = 100_000,
-) -> SolveResult:
-    """Min-label propagation until fixpoint; returns labels (v, r)."""
+    max_rounds: int = 2000,
+) -> None:
+    """Min-label propagation until fixpoint; leaves labels (v, r) in ``Result``."""
     eng = engine
     setup_symmetric(eng, edges)
     setup_vertices(eng)
@@ -60,4 +61,3 @@ def bfs_cc(
             break
     eng.drop("ES", "V")
     eng.rename("L", "Result")
-    return SolveResult(eng.table("Result"), eng.round, eng.stats, "bfs")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..mppdb import Engine, SolveResult, with_engine
+from ..mppdb import Engine, with_engine
 from .common import setup_symmetric, setup_vertices
 
 
@@ -40,10 +40,11 @@ def cracker(
     spark: SparkSession,
     edges: DataFrame,
     *,
+    seed: int = 0,  # unused: the algorithm draws nothing at random
     engine: Engine | None = None,
     max_rounds: int = 200,
-) -> SolveResult:
-    """Cracker connected components; returns labels (v, r)."""
+) -> None:
+    """Cracker connected components; leaves labels (v, r) in ``Result``."""
     eng = engine
     setup_symmetric(eng, edges)
     setup_vertices(eng)
@@ -129,4 +130,3 @@ def cracker(
             raise RuntimeError("propagation made no progress (broken tree)")
     eng.drop("TREE", "V")
     eng.rename("L", "Result")
-    return SolveResult(eng.table("Result"), eng.round, eng.stats, "cracker")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..mppdb import Engine, SolveResult, with_engine
+from ..mppdb import Engine, with_engine
 from .common import setup_symmetric, setup_vertices, sig
 
 
@@ -25,10 +25,11 @@ def hash_to_min(
     spark: SparkSession,
     edges: DataFrame,
     *,
+    seed: int = 0,  # unused: the algorithm draws nothing at random
     engine: Engine | None = None,
     max_rounds: int = 200,
-) -> SolveResult:
-    """Hash-to-Min connected components; returns labels (v, r)."""
+) -> None:
+    """Hash-to-Min connected components; leaves labels (v, r) in ``Result``."""
     eng = engine
     setup_symmetric(eng, edges)
     setup_vertices(eng)
@@ -75,4 +76,3 @@ def hash_to_min(
         label="labels",
     )
     eng.drop("C", "V")
-    return SolveResult(eng.table("Result"), eng.round, eng.stats, "hash_to_min")

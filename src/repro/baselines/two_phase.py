@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..mppdb import Engine, SolveResult, with_engine
+from ..mppdb import Engine, with_engine
 from .common import setup_vertices, sig
 
 
@@ -30,10 +30,11 @@ def two_phase(
     spark: SparkSession,
     edges: DataFrame,
     *,
+    seed: int = 0,  # unused: the algorithm draws nothing at random
     engine: Engine | None = None,
     max_rounds: int = 400,
-) -> SolveResult:
-    """Alternating large-star/small-star; returns labels (v, r)."""
+) -> None:
+    """Alternating large-star/small-star; leaves labels (v, r) in ``Result``."""
     eng = engine
     eng.register_input("G", edges.select("v", "w"))
     g = eng.ref("G")
@@ -109,4 +110,3 @@ def two_phase(
         label="labels",
     )
     eng.drop("E", "ML", "V")
-    return SolveResult(eng.table("Result"), eng.round, eng.stats, "two_phase")

@@ -8,23 +8,40 @@ only uniqueness).
 """
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable
+
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..baselines import bfs_cc, cracker, hash_to_min, two_phase
+from ..mppdb import SolveResult
 from .contraction import randomised_contraction, randomised_contraction_fast
 
-_DISPATCH = {
+#: The algorithm registry: name → ``solve(spark, edges, *, seed=0,
+#: engine=None, **kwargs) -> SolveResult``.  An RC name carries its figure and
+#: randomisation method (``rc`` is Fig 4 over GF(p)).  These names key the
+#: harness's records, the report tables and the jobs' ``--algos``.
+ALGORITHMS: dict[str, Callable[..., SolveResult]] = {
     "rc": randomised_contraction_fast,
-    "rc_fast": randomised_contraction_fast,
-    "rc_deterministic": randomised_contraction,
-}
-_BASELINES = {
+    "rc_fig3": randomised_contraction,
+    "rc_gf64": partial(randomised_contraction_fast, method="gf64"),
+    "rc_feistel": partial(randomised_contraction_fast, method="feistel"),
+    "rc_reals": partial(randomised_contraction_fast, method="reals"),
+    "hm": hash_to_min,
+    "tp": two_phase,
+    "cr": cracker,
     "bfs": bfs_cc,
-    "hash_to_min": hash_to_min,
-    "two_phase": two_phase,
-    "cracker": cracker,
 }
+
+
+def get_algorithm(name: str) -> Callable[..., SolveResult]:
+    """Resolve an algorithm by its registry name (see :data:`ALGORITHMS`)."""
+    try:
+        return ALGORITHMS[name]
+    except KeyError:
+        raise ValueError(f"unknown algorithm {name!r}; "
+                         f"choose from {sorted(ALGORITHMS)}") from None
 
 
 def normalize_labels(result: DataFrame) -> DataFrame:
@@ -38,24 +55,14 @@ def connected_components(
     edges: DataFrame,
     *,
     algorithm: str = "rc",
-    method: str = "gfp",
     seed: int = 0,
     normalize: bool = False,
     **kwargs,
 ) -> DataFrame:
     """Compute connected-component labels (v, r) for an edge DataFrame.
 
-    ``algorithm``: rc | rc_fast | rc_deterministic | bfs | hash_to_min |
-    two_phase | cracker.  ``method``/``seed`` apply to the RC variants.
+    ``algorithm`` is a key of :data:`ALGORITHMS`; other keyword arguments
+    (such as ``max_rounds``) go to its solver.
     """
-    if algorithm in _DISPATCH:
-        res = _DISPATCH[algorithm](spark, edges, method=method, seed=seed, **kwargs)
-    elif algorithm in _BASELINES:
-        res = _BASELINES[algorithm](spark, edges, **kwargs)
-    else:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose from "
-            f"{sorted(_DISPATCH) + sorted(_BASELINES)}"
-        )
-    out = res.result
+    out = get_algorithm(algorithm)(spark, edges, seed=seed, **kwargs).result
     return normalize_labels(out) if normalize else out

@@ -14,9 +14,10 @@ its connected component.
   Faster; space linear in expectation only.
 
 Both figures share one per-round step (draw, representatives, contract,
-E := T) and differ only in their bookkeeping of the per-round tables.  The
-SQL emitted matches the paper's pseudocode line for line; it executes
-through :class:`repro.mppdb.Engine` so rounds, rows and bytes are metered.
+E := T) and one compose statement, and differ only in their bookkeeping of
+the per-round tables.  The SQL emitted matches the paper's pseudocode line
+for line; it executes through :class:`repro.mppdb.Engine` so rounds, rows
+and bytes are metered.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from ..baselines.common import setup_symmetric
 from ..ff.methods import Method, get_method
-from ..mppdb import Engine, SolveResult, with_engine
+from ..mppdb import Engine, with_engine
 
 
 def _contract_round(eng: Engine, m: Method, rng: random.Random, r: str) -> tuple[object, int]:
@@ -51,6 +52,24 @@ def _contract_round(eng: Engine, m: Method, rng: random.Random, r: str) -> tuple
     return params, rowcount
 
 
+def _compose(eng: Engine, left: str, right: str, miss: str) -> None:
+    """Compose label table ``left`` with the next round's ``right``, into ``left``.
+
+    Each label ``L.r`` becomes its representative in ``right``; a label
+    missing from ``right`` is patched with the SQL expression ``miss``.
+    Both inputs are dropped and the composition takes ``left``'s name.
+    """
+    eng.ctas(
+        "T",
+        f"select L.v as v, coalesce(R.r, {miss}) as r "
+        f"from {eng.ref(left)} as L left outer join {eng.ref(right)} as R "
+        f"on (L.r = R.v)",
+        label="compose",
+    )
+    eng.drop(left, right)
+    eng.rename("T", left)
+
+
 @with_engine
 def randomised_contraction(
     spark: SparkSession,
@@ -60,7 +79,7 @@ def randomised_contraction(
     seed: int = 0,
     engine: Engine | None = None,
     max_rounds: int = 512,
-) -> SolveResult:
+) -> None:
     """Fig 3 variant: deterministic linear space."""
     m = get_method(method)
     m.prepare(spark)
@@ -73,20 +92,10 @@ def randomised_contraction(
         if rnd == 1:
             eng.rename("R", "L")
         else:
-            miss = m.missing_sql(params, "L.r")
-            eng.ctas(
-                "T",
-                f"select L.v as v, coalesce(R.r, {miss}) as r "
-                f"from {eng.ref('L')} as L left outer join {eng.ref('R')} as R "
-                f"on (L.r = R.v)",
-                label="compose",
-            )
-            eng.drop("L", "R")
-            eng.rename("T", "L")
+            _compose(eng, "L", "R", m.missing_sql(params, "L.r"))
         if rowcount == 0:
             break
     eng.rename("L", "Result")
-    return SolveResult(eng.table("Result"), eng.round, eng.stats, "rc_fig3")
 
 
 @with_engine
@@ -98,7 +107,7 @@ def randomised_contraction_fast(
     seed: int = 0,
     engine: Engine | None = None,
     max_rounds: int = 512,
-) -> SolveResult:
+) -> None:
     """Fig 4 variant: small-to-large composition, stochastic linear space."""
     m = get_method(method)
     m.prepare(spark)
@@ -122,14 +131,5 @@ def randomised_contraction_fast(
             miss = m.missing_sql(acc, "L.r")
         else:
             miss = "L.r"
-        eng.ctas(
-            "T",
-            f"select L.v as v, coalesce(R.r, {miss}) as r "
-            f"from {eng.ref(f'R{i}')} as L left outer join "
-            f"{eng.ref(f'R{i + 1}')} as R on (L.r = R.v)",
-            label="compose",
-        )
-        eng.drop(f"R{i}", f"R{i + 1}")
-        eng.rename("T", f"R{i}")
+        _compose(eng, f"R{i}", f"R{i + 1}", miss)
     eng.rename("R1", "Result")
-    return SolveResult(eng.table("Result"), eng.round, eng.stats, "rc_fig4")

@@ -36,10 +36,10 @@ the fixed-width row accounting of the paper's database tables.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from py4j.java_gateway import JavaClass, JavaObject
@@ -80,7 +80,6 @@ class SolveResult:
     result: DataFrame  # columns (v, r)
     rounds: int
     stats: EngineStats
-    algorithm: str
 
 
 @dataclass
@@ -194,28 +193,14 @@ class Engine:
 
     def register_input(self, name: str, df: DataFrame) -> int:
         """Register the input table. Counts toward input size, not writes."""
-        self._check_new(name)
-        t0 = time.perf_counter()
-        t = self._materialise(df)
-        dt = time.perf_counter() - t0
-        self._install(name, t)
+        t = self._store(name, lambda: df, "input", "input")
         self.stats.input_rows += t.rows
         self.stats.input_bytes += t.bytes
-        self.stats.queries.append(
-            QueryRecord("input", self._round, t.rows, t.bytes, dt, "input", name)
-        )
         return t.rows
 
     def ctas(self, name: str, sql: str, *, label: str | None = None) -> int:
         """``CREATE TABLE name AS <sql>`` — materialise, meter, budget-check."""
-        self._check_new(name)
-        t0 = time.perf_counter()
-        t = self._materialise(self.spark.sql(sql))
-        dt = time.perf_counter() - t0
-        self._install(name, t)
-        self.stats.queries.append(
-            QueryRecord(label or name, self._round, t.rows, t.bytes, dt, "ctas", name)
-        )
+        t = self._store(name, lambda: self.spark.sql(sql), "ctas", label or name)
         if self.max_live_rows is not None and self.live_rows > self.max_live_rows:
             raise SpaceBudgetExceeded(self.live_rows, self.max_live_rows)
         return t.rows
@@ -286,6 +271,24 @@ class Engine:
 
     # --- internals ---------------------------------------------------
 
+    def _store(
+        self, name: str, query: Callable[[], DataFrame], kind: str, label: str
+    ) -> _Table:
+        """Store the rows of ``query()`` as new table ``name``, timed and recorded.
+
+        The one store path of :meth:`register_input` and :meth:`ctas`; the
+        recorded time includes building the query's DataFrame.
+        """
+        self._check_new(name)
+        t0 = time.perf_counter()
+        t = self._materialise(query())
+        dt = time.perf_counter() - t0
+        self._install(name, t)
+        self.stats.queries.append(
+            QueryRecord(label, self._round, t.rows, t.bytes, dt, kind, name)
+        )
+        return t
+
     def _materialise(self, df: DataFrame) -> _Table:
         """Run ``df`` once and keep its rows in memory (the CTAS storage step).
 
@@ -355,20 +358,21 @@ class Engine:
 def with_engine(solve):
     """Run ``solve(spark, ..., engine=...)`` on the caller's engine or on its own.
 
-    ``solve`` returns a :class:`SolveResult` whose ``result`` is the engine's
-    ``Result`` table and whose ``rounds`` is the engine's round number.
-    With ``engine=`` given, ``solve`` runs unchanged and its ``Result`` table
-    stays in that engine's catalog.  Otherwise ``solve`` gets a fresh engine
-    that is closed however it ends; on success the engine first hands its
-    ``Result`` table to the returned result with :meth:`Engine.detach`.
+    ``solve`` leaves its labels in the engine's ``Result`` table; the
+    returned :class:`SolveResult` holds that table and the engine's round
+    number and statistics.  With ``engine=`` given, ``Result`` stays in that
+    engine's catalog.  Otherwise ``solve`` gets a fresh engine that is
+    closed however it ends; on success the engine first hands its ``Result``
+    table to the returned result with :meth:`Engine.detach`.
     """
 
     @functools.wraps(solve)
-    def run(spark: SparkSession, *args, engine: Engine | None = None, **kwargs):
+    def run(spark: SparkSession, *args, engine: Engine | None = None, **kwargs) -> SolveResult:
         if engine is not None:
-            return solve(spark, *args, engine=engine, **kwargs)
+            solve(spark, *args, engine=engine, **kwargs)
+            return SolveResult(engine.table("Result"), engine.round, engine.stats)
         with Engine(spark) as eng:
-            res = solve(spark, *args, engine=eng, **kwargs)
-            return dataclasses.replace(res, result=eng.detach("Result"))
+            solve(spark, *args, engine=eng, **kwargs)
+            return SolveResult(eng.detach("Result"), eng.round, eng.stats)
 
     return run

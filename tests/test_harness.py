@@ -1,11 +1,11 @@
 """Experiment harness: metrics plausibility, aborts, faults, persistence."""
 import json
 import threading
+from functools import partial
 
 import pytest
 
 from repro.analysis.harness import (
-    ALGORITHMS,
     RunRecord,
     load_records,
     run_algorithm,
@@ -13,6 +13,7 @@ from repro.analysis.harness import (
     save_records,
 )
 from repro.baselines import bfs_cc
+from repro.core import ALGORITHMS
 from repro.graphs import generators as G
 from repro.mppdb import Engine
 
@@ -78,10 +79,7 @@ class TestRunAlgorithm:
         assert added_since(spark, before) == (0, set())
 
     def test_round_limit_abort_recorded(self, spark, monkeypatch):
-        monkeypatch.setitem(
-            ALGORITHMS, "bfs",
-            lambda s, e, eng, seed: bfs_cc(s, e, engine=eng, max_rounds=1),
-        )
+        monkeypatch.setitem(ALGORITHMS, "bfs", partial(bfs_cc, max_rounds=1))
         df = G.to_spark(spark, G.path(10, numbering="sequential"))
         before = snapshot(spark)
         rec = run_algorithm(spark, "bfs", df, dataset="path", profile="test")
@@ -93,9 +91,9 @@ class TestRunAlgorithm:
     def test_program_error_propagates(self, spark, monkeypatch):
         """Only resource limits are recorded as aborts; a fault is raised."""
 
-        def boom(s, e, eng, seed):
-            eng.register_input("G", e)
-            eng.ctas("E", f"select v, w from {eng.ref('G')}")
+        def boom(spark, edges, *, seed=0, engine=None):
+            engine.register_input("G", edges)
+            engine.ctas("E", f"select v, w from {engine.ref('G')}")
             raise RuntimeError("boom")
 
         monkeypatch.setitem(ALGORITHMS, "boom", boom)
@@ -122,7 +120,8 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize(
         "algo, n",
-        [("rc", 5), ("hm", 3)],  # Fig 4: 3 rounds, 9 CTAS; hash-to-min: 3 rounds, 10 CTAS
+        # Figs 4 and 3: 3 rounds, 9 CTAS each; hash-to-min: 3 rounds, 10 CTAS
+        [("rc", 5), ("rc_fig3", 5), ("hm", 3)],
     )
     def test_every_failed_statement_leaves_no_residue(self, spark, monkeypatch, algo, n):
         pdf = G.path(n, numbering="sequential")

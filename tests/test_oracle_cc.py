@@ -44,8 +44,11 @@ SMALL_FOR_ORACLE = [
 ]
 
 
+# A baseline's test id is its function's name, as in test_baselines.py.
 @pytest.mark.parametrize("name", SMALL_FOR_ORACLE)
-@pytest.mark.parametrize("algorithm", ["rc", "rc_deterministic", "two_phase"])
+@pytest.mark.parametrize(
+    "algorithm", ["rc", "rc_fig3", pytest.param("tp", id="two_phase")]
+)
 def test_cc_matches_duckdb_transitive_closure(spark, name, algorithm):
     pdf = small_graphs()[name]
     edges = G.to_spark(spark, pdf)
@@ -56,7 +59,10 @@ def test_cc_matches_duckdb_transitive_closure(spark, name, algorithm):
     assert_equivalent(got, DUCKDB_CC_SQL, edges=pdf)
 
 
-@pytest.mark.parametrize("algorithm", ["hash_to_min", "cracker", "bfs"])
+@pytest.mark.parametrize(
+    "algorithm",
+    [pytest.param("hm", id="hash_to_min"), pytest.param("cr", id="cracker"), "bfs"],
+)
 def test_all_algorithms_against_duckdb_on_random_graph(spark, algorithm):
     pdf = G.random_edges(40, 55, seed=21)
     edges = G.to_spark(spark, pdf)

@@ -158,7 +158,6 @@ class TestEngineIntegration:
         )
         assert isinstance(res, SolveResult)
         assert [f.name for f in dataclasses.fields(res)] == [
-            "result", "rounds", "stats", "algorithm"
+            "result", "rounds", "stats"
         ]
-        assert res.algorithm == "rc_fig4"
         assert res.rounds == res.stats.rounds >= 1 and res.stats.n_ctas > 0
