@@ -97,7 +97,7 @@ def run_algorithm(
             profile=profile,
             seed=seed,
             seconds=seconds,
-            rounds=eng.round,
+            rounds=st.rounds,
             n_queries=st.n_queries,
             input_rows=st.input_rows,
             input_bytes=st.input_bytes,

@@ -93,8 +93,8 @@ def format_table3(records: list[dict]) -> str:
     )
 
 
-def format_table4(records: list[dict]) -> str:
-    """Table IV: max space — ours in MB (plus input MB), paper in GB."""
+def _space_table(records: list[dict], field: str, paper_field: str) -> str:
+    """Tables IV and V: record ``field`` in MB, the paper's ``paper_field`` in GB."""
     idx = _index(records)
     lines = [
         "| dataset | input ours (MB) | "
@@ -110,47 +110,27 @@ def format_table4(records: list[dict]) -> str:
         any_rec = next((idx[(name, a)] for a in GRID_ALGOS if (name, a) in idx), None)
         inp = f"{any_rec['input_bytes'] / mb:.1f}" if any_rec else "?"
         ours = [
-            ("—" if idx[(name, a)]["aborted"] else f"{idx[(name, a)]['peak_live_bytes'] / mb:.1f}")
+            ("—" if idx[(name, a)]["aborted"] else f"{idx[(name, a)][field] / mb:.1f}")
             if (name, a) in idx
             else "?"
             for a in GRID_ALGOS
         ]
-        theirs = [_fmt(paper.max_space_gb[a], nd=0) for a in GRID_ALGOS]
+        theirs = [_fmt(getattr(paper, paper_field)[a], nd=0) for a in GRID_ALGOS]
         lines.append(
             f"| {name} | {inp} | " + " | ".join(ours)
             + f" | {paper.input_gb:.0f} | " + " | ".join(theirs) + " |"
         )
     return "\n".join(lines)
+
+
+def format_table4(records: list[dict]) -> str:
+    """Table IV: max space — ours in MB (plus input MB), paper in GB."""
+    return _space_table(records, "peak_live_bytes", "max_space_gb")
 
 
 def format_table5(records: list[dict]) -> str:
     """Table V: total bytes written — ours in MB, paper in GB."""
-    idx = _index(records)
-    lines = [
-        "| dataset | input ours (MB) | "
-        + " | ".join(f"{_ALGO_TITLES[a]} ours (MB)" for a in GRID_ALGOS)
-        + " | input paper (GB) | "
-        + " | ".join(f"{_ALGO_TITLES[a]} paper (GB)" for a in GRID_ALGOS)
-        + " |",
-        "|---|" + "---:|" * (2 * len(GRID_ALGOS) + 2),
-    ]
-    mb = 1e6
-    for name in dataset_names():
-        paper = get_dataset(name).paper
-        any_rec = next((idx[(name, a)] for a in GRID_ALGOS if (name, a) in idx), None)
-        inp = f"{any_rec['input_bytes'] / mb:.1f}" if any_rec else "?"
-        ours = [
-            ("—" if idx[(name, a)]["aborted"] else f"{idx[(name, a)]['total_bytes_written'] / mb:.1f}")
-            if (name, a) in idx
-            else "?"
-            for a in GRID_ALGOS
-        ]
-        theirs = [_fmt(paper.written_gb[a], nd=0) for a in GRID_ALGOS]
-        lines.append(
-            f"| {name} | {inp} | " + " | ".join(ours)
-            + f" | {paper.input_gb:.0f} | " + " | ".join(theirs) + " |"
-        )
-    return "\n".join(lines)
+    return _space_table(records, "total_bytes_written", "written_gb")
 
 
 def format_rounds_table(records: list[dict]) -> str:

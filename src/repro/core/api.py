@@ -62,7 +62,14 @@ def connected_components(
     """Compute connected-component labels (v, r) for an edge DataFrame.
 
     ``algorithm`` is a key of :data:`ALGORITHMS`; other keyword arguments
-    (such as ``max_rounds``) go to its solver.
+    (such as ``max_rounds``) go to its solver.  A keyword that the entry
+    already fixes, such as ``method`` for ``rc_gf64``, raises ``TypeError``:
+    the name says what runs.
     """
-    out = get_algorithm(algorithm)(spark, edges, seed=seed, **kwargs).result
+    solve = get_algorithm(algorithm)
+    fixed = sorted(solve.keywords.keys() & kwargs.keys()) if isinstance(solve, partial) else []
+    if fixed:
+        raise TypeError(f"algorithm {algorithm!r} fixes {', '.join(fixed)}; "
+                        "choose the registry name of the variant to run")
+    out = solve(spark, edges, seed=seed, **kwargs).result
     return normalize_labels(out) if normalize else out

@@ -10,7 +10,8 @@ its connected component.
   Deterministic linear space (L never grows).
 * :func:`randomised_contraction_fast` — Fig 4: keeps all per-round tables
   ``R_i`` and composes them back-to-front (small-to-large joins), carrying
-  the affine ``(A, B)`` accumulation stack for finite-field methods.
+  the method's accumulated relabelling: the affine ``(A, B)`` for
+  finite-field methods, the identity for argmin methods.
   Faster; space linear in expectation only.
 
 Both figures share one per-round step (draw, representatives, contract,
@@ -122,14 +123,9 @@ def randomised_contraction_fast(
         if rowcount == 0:
             break
     eng.drop("E")  # empty by termination; the paper drops ccgraph too
-    acc = m.identity_params if m.relabels else None
+    acc = m.identity_params
     while i > 1:
         i -= 1
-        popped = stack.pop()  # round i+1's parameters
-        if m.relabels:
-            acc = m.compose_params(acc, popped)
-            miss = m.missing_sql(acc, "L.r")
-        else:
-            miss = "L.r"
-        _compose(eng, f"R{i}", f"R{i + 1}", miss)
+        acc = m.compose_params(acc, stack.pop())  # with round i+1's parameters
+        _compose(eng, f"R{i}", f"R{i + 1}", m.missing_sql(acc, "L.r"))
     eng.rename("R1", "Result")

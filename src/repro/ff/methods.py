@@ -15,7 +15,9 @@ on the vertex-ID domain:
 Each method knows how to build one round's representative table R(v, r)
 through the :class:`repro.mppdb.Engine`, and how a label missing from the
 next round's R table must be patched during composition (``coalesce``'s
-second argument in Figs 3/4).
+second argument in Figs 3/4).  The two argmin methods relabel by the
+identity: their composition hooks keep every label as it is, so Fig 4 runs
+one compose loop for all four methods.
 """
 from __future__ import annotations
 
@@ -33,8 +35,8 @@ class Method(ABC):
 
     #: method name used in APIs / reports.
     name: str
-    #: True → rounds relabel vertices to h-values (finite-field methods).
-    relabels: bool
+    #: Parameters of the identity relabelling (Fig 4's initial accumulator).
+    identity_params: Any = None
 
     def prepare(self, spark) -> None:
         """Register any SQL UDFs this method needs (idempotent)."""
@@ -54,22 +56,18 @@ class Method(ABC):
     def missing_sql(self, params: Any, x_expr: str) -> str:
         """SQL patch for labels absent from the next R table (coalesce arm 2).
 
-        Non-relabelling methods keep original IDs, so the patch is identity.
+        Argmin methods keep original IDs, so the patch is the identity.
         Finite-field methods override this with ``h(x)`` / the accumulated
         affine map.
         """
         return x_expr
 
-    # --- affine composition hooks (finite-field methods only) ---
-
-    @property
-    def identity_params(self) -> Any:
-        """Parameters of the identity map (Fig 4's initial ``(A,B) = (1,0)``)."""
-        raise NotImplementedError(f"{self.name} does not relabel")
-
     def compose_params(self, acc: Any, params: Any) -> Any:
-        """Return ``acc ∘ h_params`` — Fig 4's stack accumulation step."""
-        raise NotImplementedError(f"{self.name} does not relabel")
+        """Return ``acc ∘ h_params`` — Fig 4's stack accumulation step.
+
+        Argmin methods relabel by the identity, so ``acc`` stays as it is.
+        """
+        return acc
 
     def h_scalar(self, params: Any, x: int) -> int:
         """Scalar ``h(x)`` — used by tests."""
@@ -79,7 +77,8 @@ class Method(ABC):
 class _FiniteFieldMethod(Method):
     """Shared SQL shape for the two finite-field instantiations."""
 
-    relabels = True
+    #: The affine identity ``x ↦ 1·x + 0`` (Fig 4's initial ``(A, B)``).
+    identity_params = (1, 0)
 
     @abstractmethod
     def h_sql(self, params: tuple[int, int], x_expr: str) -> str:
@@ -123,10 +122,6 @@ class GFPMethod(_FiniteFieldMethod):
         a, b = params
         return _gfp.axb(a, x, b)
 
-    @property
-    def identity_params(self) -> tuple[int, int]:
-        return (1, 0)
-
     def compose_params(self, acc, params):
         # acc = f(x)=Ax+B applied AFTER g(x)=αx+β: f∘g = (Aα)x + (Aβ+B).
         a, b = acc
@@ -160,10 +155,6 @@ class GF64Method(_FiniteFieldMethod):
         a, b = params
         return _gf64.axb(a, x, b)
 
-    @property
-    def identity_params(self) -> tuple[int, int]:
-        return (1, 0)
-
     def compose_params(self, acc, params):
         a, b = acc
         alpha, beta = params
@@ -174,7 +165,6 @@ class FeistelMethod(Method):
     """The encryption method with a 64-bit Feistel cipher (Blowfish stand-in)."""
 
     name = "feistel"
-    relabels = False
 
     def prepare(self, spark) -> None:
         _feistel.register(spark)
@@ -204,7 +194,6 @@ class RandomRealsMethod(Method):
     """The random reals method: a materialised table of uniform h-values."""
 
     name = "reals"
-    relabels = False
 
     def draw(self, rng: random.Random) -> int:
         return rng.randint(0, 2**31 - 1)

@@ -134,7 +134,7 @@ class Engine:
 
     The engine is the only owner of the solve's round number: algorithms
     start each round with :meth:`next_round`, which also enforces their
-    round cap, and report :attr:`round` as the rounds they ran.
+    round cap and advances ``stats.rounds``, the rounds they ran.
     """
 
     def __init__(self, spark: SparkSession, *, max_live_rows: int | None = None):
@@ -144,7 +144,6 @@ class Engine:
         self._prefix = f"mpp{next(_engine_ids)}"
         self._jvm = _Jvm.of(spark)
         self._tables: dict[str, _Table] = {}
-        self._round = 0
         self._closed = False
 
     # --- catalog -----------------------------------------------------
@@ -178,16 +177,12 @@ class Engine:
 
         Raises :class:`RoundLimitExceeded` instead when ``max_rounds`` rounds
         have already run.  The cap is checked before the counter moves, so an
-        aborted solve's :attr:`round` is the number of rounds it ran.
+        aborted solve's ``stats.rounds`` is the number of rounds it ran.
         """
-        if self._round >= max_rounds:
+        if self.stats.rounds >= max_rounds:
             raise RoundLimitExceeded(max_rounds)
-        self._round += 1
-        return self._round
-
-    @property
-    def round(self) -> int:
-        return self._round
+        self.stats.rounds += 1
+        return self.stats.rounds
 
     # --- statements --------------------------------------------------
 
@@ -215,7 +210,7 @@ class Engine:
         t0 = time.perf_counter()
         row = self.spark.sql(sql).collect()[0]
         dt = time.perf_counter() - t0
-        self.stats.queries.append(QueryRecord(label, self._round, 0, 0, dt, "read"))
+        self.stats.queries.append(QueryRecord(label, self.stats.rounds, 0, 0, dt, "read"))
         return row
 
     def drop(self, *names: str) -> None:
@@ -285,7 +280,7 @@ class Engine:
         dt = time.perf_counter() - t0
         self._install(name, t)
         self.stats.queries.append(
-            QueryRecord(label, self._round, t.rows, t.bytes, dt, kind, name)
+            QueryRecord(label, self.stats.rounds, t.rows, t.bytes, dt, kind, name)
         )
         return t
 
@@ -370,9 +365,9 @@ def with_engine(solve):
     def run(spark: SparkSession, *args, engine: Engine | None = None, **kwargs) -> SolveResult:
         if engine is not None:
             solve(spark, *args, engine=engine, **kwargs)
-            return SolveResult(engine.table("Result"), engine.round, engine.stats)
+            return SolveResult(engine.table("Result"), engine.stats.rounds, engine.stats)
         with Engine(spark) as eng:
             solve(spark, *args, engine=eng, **kwargs)
-            return SolveResult(eng.detach("Result"), eng.round, eng.stats)
+            return SolveResult(eng.detach("Result"), eng.stats.rounds, eng.stats)
 
     return run

@@ -29,6 +29,7 @@ class EngineStats:
     """Aggregated statistics over an engine's lifetime."""
 
     queries: list[QueryRecord] = field(default_factory=list)
+    rounds: int = 0  # advanced by Engine.next_round
     input_rows: int = 0
     input_bytes: int = 0
     peak_live_rows: int = 0
@@ -49,21 +50,3 @@ class EngineStats:
     @property
     def total_bytes_written(self) -> int:
         return sum(q.bytes for q in self.queries if q.kind == "ctas")
-
-    @property
-    def rounds(self) -> int:
-        return max((q.round for q in self.queries), default=0)
-
-    def summary(self) -> dict:
-        """Plain-dict summary for JSON artifacts."""
-        return {
-            "n_queries": self.n_queries,
-            "n_ctas": self.n_ctas,
-            "rounds": self.rounds,
-            "input_rows": self.input_rows,
-            "input_bytes": self.input_bytes,
-            "total_rows_written": self.total_rows_written,
-            "total_bytes_written": self.total_bytes_written,
-            "peak_live_rows": self.peak_live_rows,
-            "peak_live_bytes": self.peak_live_bytes,
-        }

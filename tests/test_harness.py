@@ -15,7 +15,7 @@ from repro.analysis.harness import (
 from repro.baselines import bfs_cc
 from repro.core import ALGORITHMS
 from repro.graphs import generators as G
-from repro.mppdb import Engine
+from repro.mppdb import Engine, SpaceBudgetExceeded
 
 from tests.residue import added_since, snapshot
 
@@ -119,11 +119,21 @@ class TestFaultInjection:
     """A solve whose k-th CTAS fails, for every k, with a healthy solve beside it."""
 
     @pytest.mark.parametrize(
-        "algo, n",
-        # Figs 4 and 3: 3 rounds, 9 CTAS each; hash-to-min: 3 rounds, 10 CTAS
-        [("rc", 5), ("rc_fig3", 5), ("hm", 3)],
+        "algo, n, fault",
+        # Figs 4 and 3: 3 rounds, 9 CTAS each; hash-to-min: 3 rounds, 10 CTAS.
+        # Besides a program error: the space budget (recorded as an abort)
+        # and an interrupted client (propagates).
+        [
+            pytest.param("rc", 5, _InjectedFault, id="rc-5"),
+            pytest.param("rc_fig3", 5, _InjectedFault, id="rc_fig3-5"),
+            pytest.param("hm", 3, _InjectedFault, id="hm-3"),
+            pytest.param("rc", 5, SpaceBudgetExceeded, id="rc-5-space_budget"),
+            pytest.param("rc", 5, KeyboardInterrupt, id="rc-5-interrupt"),
+        ],
     )
-    def test_every_failed_statement_leaves_no_residue(self, spark, monkeypatch, algo, n):
+    def test_every_failed_statement_leaves_no_residue(
+        self, spark, monkeypatch, algo, n, fault
+    ):
         pdf = G.path(n, numbering="sequential")
         edges = G.to_spark(spark, pdf)
         healthy_pdf = G.path(6, numbering="random", seed=1)
@@ -135,7 +145,9 @@ class TestFaultInjection:
             if threading.get_ident() == faulty_thread:
                 calls[0] += 1
                 if calls[0] == fail_at[0]:
-                    raise _InjectedFault(f"CTAS {calls[0]}")
+                    if fault is SpaceBudgetExceeded:
+                        raise SpaceBudgetExceeded(calls[0], 0)
+                    raise fault(f"CTAS {calls[0]}")
             return ctas(self, *args, **kwargs)
 
         monkeypatch.setattr(Engine, "ctas", faulty_ctas)
@@ -159,8 +171,13 @@ class TestFaultInjection:
 
             t = threading.Thread(target=client, daemon=True)
             t.start()
-            with pytest.raises(_InjectedFault, match=f"CTAS {k}$"):
-                run_algorithm(spark, algo, edges, verify_against=pdf)
+            if fault is SpaceBudgetExceeded:
+                rec = run_algorithm(spark, algo, edges, verify_against=pdf)
+                assert rec.aborted, k
+                assert rec.abort_reason == f"space budget: live rows {k} exceed budget 0", k
+            else:
+                with pytest.raises(fault, match=f"CTAS {k}$"):
+                    run_algorithm(spark, algo, edges, verify_against=pdf)
             t.join(300)
             assert not t.is_alive(), k
             assert errors == [], k

@@ -24,12 +24,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_method("nope")
 
-    def test_relabel_flags(self):
-        assert get_method("gfp").relabels
-        assert get_method("gf64").relabels
-        assert not get_method("feistel").relabels
-        assert not get_method("reals").relabels
-
 
 class TestDraw:
     @pytest.mark.parametrize("name", ALL_METHODS)
@@ -73,13 +67,16 @@ class TestComposition:
         for x in [0, 5, 999]:
             assert m.h_scalar(m.identity_params, x) == x
 
-    def test_non_relabel_methods_have_no_composition(self):
-        for name in ["feistel", "reals"]:
-            m = get_method(name)
-            with pytest.raises(NotImplementedError):
-                _ = m.identity_params
-            with pytest.raises(NotImplementedError):
-                m.compose_params(None, None)
+    @pytest.mark.parametrize("name", ["feistel", "reals"])
+    def test_argmin_methods_compose_to_identity(self, name):
+        """Fig 4's accumulator stays the identity, and a missing label keeps its ID."""
+        m = get_method(name)
+        rng = random.Random(4)
+        acc = m.identity_params
+        for _ in range(3):
+            acc = m.compose_params(acc, m.draw(rng))
+        assert acc == m.identity_params
+        assert m.missing_sql(acc, "L.r") == "L.r"
 
     @pytest.mark.parametrize("name", ["gfp", "gf64"])
     def test_missing_sql_is_h(self, name, spark):
@@ -116,7 +113,7 @@ class TestRepTables:
             assert set(rows) == {1, 2, 3, 4, 9}
             nbhd = {1: {1, 2}, 2: {1, 2, 3}, 3: {2, 3, 4}, 4: {3, 4}, 9: {9}}
             for v, r in rows.items():
-                if m.relabels:
+                if name in ("gfp", "gf64"):
                     hs = {m.h_scalar(params, u) for u in nbhd[v]}
                     assert r == min(hs)
                 else:
