@@ -19,12 +19,12 @@ from ..mppdb import SolveResult
 from .contraction import randomised_contraction, randomised_contraction_fast
 
 #: The algorithm registry: name → ``solve(spark, edges, *, seed=0,
-#: engine=None, **kwargs) -> SolveResult``.  An RC name carries its figure and
+#: engine=None, **kwargs) -> SolveResult``.  An RC name fixes its figure and
 #: randomisation method (``rc`` is Fig 4 over GF(p)).  These names key the
 #: harness's records, the report tables and the jobs' ``--algos``.
 ALGORITHMS: dict[str, Callable[..., SolveResult]] = {
-    "rc": randomised_contraction_fast,
-    "rc_fig3": randomised_contraction,
+    "rc": partial(randomised_contraction_fast, method="gfp"),
+    "rc_fig3": partial(randomised_contraction, method="gfp"),
     "rc_gf64": partial(randomised_contraction_fast, method="gf64"),
     "rc_feistel": partial(randomised_contraction_fast, method="feistel"),
     "rc_reals": partial(randomised_contraction_fast, method="reals"),
@@ -63,7 +63,7 @@ def connected_components(
 
     ``algorithm`` is a key of :data:`ALGORITHMS`; other keyword arguments
     (such as ``max_rounds``) go to its solver.  A keyword that the entry
-    already fixes, such as ``method`` for ``rc_gf64``, raises ``TypeError``:
+    already fixes, such as ``method`` for any RC name, raises ``TypeError``:
     the name says what runs.
     """
     solve = get_algorithm(algorithm)

@@ -7,17 +7,15 @@ SparkSession:
 
 * every logical table is **materialised in memory** — the analogue of the
   database writing each table to storage.  A CTAS runs its query once, as
-  one ``count()`` over the query's rows whose lineage is cut by a local
-  checkpoint (blocks kept MEMORY_AND_DISK), and the table is a fresh
-  DataFrame over those rows with the schema the engine already knows.  The
-  fresh leaf severs Catalyst lineage between rounds and carries the table's
-  *exact* statistics (the counted rows), so Spark's planner can broadcast a
-  small table into a join, as an MPP database's planner picks a broadcast
-  motion from its table sizes.  (Materialising via
-  ``DataFrame.localCheckpoint`` instead is a known trap for iterative SQL:
-  Spark carries the origin plan's size *estimate* into the checkpointed
-  relation, the estimates multiply at every self-join round, and after ~12
-  rounds the planner spends minutes multiplying million-digit BigIntegers in
+  one ``count()`` over the query's rows, local-checkpointed by Spark's own
+  ``Dataset.localCheckpoint`` (blocks kept MEMORY_AND_DISK); the table is
+  the checkpoint's ``LogicalRDD`` leaf, whose lineage is cut.  The leaf's
+  statistics are replaced by the table's *exact* ones (the counted rows),
+  so Spark's planner can broadcast a small table into a join, as an MPP
+  database's planner picks a broadcast motion from its table sizes.  (The
+  checkpoint's own statistics are the origin plan's *estimate*; kept, the
+  estimates multiply at every self-join round, and after ~12 rounds the
+  planner spends minutes multiplying million-digit BigIntegers in
   ``SizeInBytesOnlyStatsPlanVisitor``.)
 * :meth:`ref` resolves logical → run-unique temp-view names so algorithm
   code can embed table names in SQL strings;
@@ -87,7 +85,7 @@ class _Table:
     """One catalog entry: the stored DataFrame, its checkpointed rows and its size."""
 
     df: DataFrame
-    jrdd: JavaObject  # JavaRDD[Row] holding the table's blocks
+    jrdd: JavaObject  # the leaf's RDD[InternalRow], holding the table's blocks
     rows: int
     bytes: int
 
@@ -287,47 +285,43 @@ class Engine:
     def _materialise(self, df: DataFrame) -> _Table:
         """Run ``df`` once and keep its rows in memory (the CTAS storage step).
 
-        The rows' RDD is local-checkpointed, so lineage is cut at its first
-        action: the ``count()`` that both materialises and counts the table
-        (one Spark job when the query has no shuffle).  The stored DataFrame
-        is a new ``LogicalRDD`` leaf built with ``df``'s schema and the
-        exact statistics of the counted rows (:meth:`_leaf`).  If the query
-        or the store step fails, the marked RDD is unpersisted before the
-        error propagates.
+        ``Dataset.localCheckpoint`` marks the query's rows for a local
+        checkpoint, so lineage is cut at their first action: the ``count()``
+        that both materialises and counts the table (one Spark job when the
+        query has no shuffle).  The stored DataFrame is the checkpoint's leaf
+        with the counted rows' exact statistics (:meth:`_leaf`).  If the
+        query or the store step fails, the marked rows are unpersisted before
+        the error propagates.
         """
-        jrdd = df._jdf.javaRDD()
-        jrdd.rdd().localCheckpoint()
+        leaf = df._jdf.localCheckpoint(False).queryExecution().analyzed()
+        rdd = leaf.rdd()
         try:
-            n = jrdd.count()
-            stored = self._leaf(jrdd, df._jdf.schema(), n)
+            n = rdd.count()
+            stored = self._leaf(leaf, n)
         except BaseException:
-            jrdd.unpersist(False)
+            rdd.unpersist(False)
             raise
-        return _Table(stored, jrdd, n, n * _row_width(stored))
+        return _Table(stored, rdd, n, n * _row_width(stored))
 
-    def _leaf(self, jrdd: JavaObject, jschema: JavaObject, n: int) -> DataFrame:
-        """A ``LogicalRDD`` leaf over ``n`` stored rows that reports their exact size.
+    def _leaf(self, leaf: JavaObject, n: int) -> DataFrame:
+        """The ``LogicalRDD`` ``leaf`` over ``n`` stored rows, reporting their exact size.
 
         ``rowCount`` is ``n`` and ``sizeInBytes`` is Spark's own row-size
-        estimate times ``n``, read off a ``Limit(n)`` over the bare leaf:
+        estimate times ``n``, read off a ``Limit(n)`` over the leaf once its
+        origin estimate is stripped (a limit keeps a smaller child count):
         py4j turns a Scala ``BigInt`` into a Python ``int``, so the
         ``Statistics`` must be built on the JVM side.  The figures come from
         the rows, never from the plan that produced them, so they cannot
-        compound over rounds.  A table of ``Int.MaxValue`` rows or more
-        keeps the default estimate, since a limit is an ``Int``; it is far
-        above any broadcast threshold either way.
+        compound over rounds.  A table of ``Int.MaxValue`` rows or more gets
+        no statistics, since a limit is an ``Int``: Spark's default estimate
+        is far above any broadcast threshold either way.
         """
         j = self._jvm
-        jdf = j.session.createDataFrame(jrdd, jschema)
-        if n < _INT_MAX:
-            leaf = jdf.queryExecution().analyzed()
-            stats = j.limit.apply(j.literal.apply(n), leaf).stats()
-            leaf = leaf.copy(
-                leaf.output(), leaf.rdd(), leaf.outputPartitioning(), leaf.outputOrdering(),
-                leaf.isStreaming(), leaf.stream(), j.session, j.some(stats), j.none,
-            )
-            jdf = j.dataset.ofRows(j.session, leaf)
-        return DataFrame(jdf, self.spark)
+        args = (leaf.output(), leaf.rdd(), leaf.outputPartitioning(), leaf.outputOrdering(),
+                leaf.isStreaming(), leaf.stream(), j.session)
+        bare = leaf.copy(*args, j.none, j.none)
+        stats = j.some(j.limit.apply(j.literal.apply(n), bare).stats()) if n < _INT_MAX else j.none
+        return DataFrame(j.dataset.ofRows(j.session, leaf.copy(*args, stats, j.none)), self.spark)
 
     def _install(self, name: str, t: _Table) -> None:
         self._tables[name] = t

@@ -98,15 +98,11 @@ def test_unknown_algorithm_raises(spark):
 
 
 def test_registry_fixed_keywords_cannot_be_overridden(spark):
-    """A name says what runs: ``rc_gf64`` never runs another method."""
-    pdf = small_graphs()["single_edge"]
-    df = G.to_spark(spark, pdf)
-    for algorithm in ("rc_gf64", "rc_feistel", "rc_reals"):
+    """A name says what runs: no RC name ever runs another method."""
+    df = G.to_spark(spark, small_graphs()["single_edge"])
+    for algorithm in ("rc", "rc_fig3", "rc_gf64", "rc_feistel", "rc_reals"):
         with pytest.raises(TypeError, match=f"^algorithm '{algorithm}' fixes method;"):
-            connected_components(spark, df, algorithm=algorithm, method="gfp")
-    # rc_fig3 fixes no method, so the caller picks one.
-    out = connected_components(spark, df, algorithm="rc_fig3", method="feistel")
-    assert_valid_labels(out, pdf)
+            connected_components(spark, df, algorithm=algorithm, method="feistel")
 
 
 def test_normalize_maps_to_min_vertex(spark):

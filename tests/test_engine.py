@@ -220,15 +220,28 @@ class TestMaterialise:
         eng.register_input("G", spark.range(12).selectExpr("id as v", "id + 1 as w"))
         eng.ctas("t", "select id from range(10) where id % 3 = 0")
         eng.ctas("empty", "select id from range(0)")
-        for name in ("G", "t", "empty"):
+        # The plan estimates 500 rows here; the sample keeps another number.
+        eng.ctas("k", "select id from range(1000)")
+        eng.ctas("sample", f"select * from {eng.ref('k')} tablesample (50 percent) repeatable (5)")
+        assert eng.rows("sample") != 500
+        for name in ("G", "t", "empty", "sample"):
             stats = eng.table(name)._jdf.queryExecution().optimizedPlan().stats()
             assert stats.rowCount().get() == eng.rows(name), name
             assert 0 < stats.sizeInBytes() <= max(1, 64 * eng.rows(name)), name
 
+    def test_tables_too_large_for_a_limit_report_no_row_count(self, eng, monkeypatch):
+        # A limit is an Int, so a table of Int.MaxValue rows or more gets
+        # Spark's default estimate, not the producing plan's.
+        monkeypatch.setattr("repro.mppdb.engine._INT_MAX", 5)
+        assert eng.ctas("t", "select id from range(10)") == 10
+        stats = eng.table("t")._jdf.queryExecution().optimizedPlan().stats()
+        assert not stats.rowCount().isDefined()
+        assert stats.sizeInBytes() == 2**63 - 1
+
     def test_failed_store_step_leaves_no_storage(self, spark, monkeypatch):
         # The counting job has run and the rows are persisted when the step
         # that builds the stored leaf fails.
-        def fail(self, jrdd, jschema, n):
+        def fail(self, leaf, n):
             raise RuntimeError("leaf failed")
 
         monkeypatch.setattr(Engine, "_leaf", fail)
@@ -460,6 +473,30 @@ class TestJoinPlanning:
     def test_small_tables_are_broadcast(self, spark, monkeypatch):
         for plan in self.contract_plans(spark, monkeypatch):
             assert "BroadcastHashJoin" in plan and "SortMergeJoin" not in plan, plan
+
+    def test_stored_partitioning_matches_the_rows(self, eng, spark):
+        # A leaf that claimed a partitioning its rows lack (say, the query's
+        # hash partitioning over AQE-coalesced partitions) would let a
+        # shuffle join skip an exchange and pair the wrong partitions.
+        src = "select id % 13 as v, id as w from range(200)"
+        eng.ctas("E", src)
+        for name, agg in (("lo", "min"), ("hi", "max")):
+            eng.ctas(name, f"select v, {agg}(w) as w from {eng.ref('E')} group by v")
+            leaf = eng.table(name)._jdf.queryExecution().analyzed()
+            part = leaf.outputPartitioning()
+            assert (part.getClass().getSimpleName() == "UnknownPartitioning"
+                    or part.numPartitions() == leaf.rdd().getNumPartitions()), part.toString()
+        join = "select L.v, L.w as lo, H.w as hi from {} as L join {} as H on L.v = H.v"
+        plain = [f"(select v, {agg}(w) as w from ({src}) group by v)" for agg in ("min", "max")]
+        key = "spark.sql.autoBroadcastJoinThreshold"
+        original = spark.conf.get(key)
+        spark.conf.set(key, "-1")
+        try:
+            got = sorted(spark.sql(join.format(eng.ref("lo"), eng.ref("hi"))).collect())
+            want = sorted(spark.sql(join.format(*plain)).collect())
+        finally:
+            spark.conf.set(key, original)
+        assert got == want and len(got) == 13
 
     def test_tables_above_the_threshold_are_shuffled(self, spark, monkeypatch):
         key = "spark.sql.autoBroadcastJoinThreshold"
