@@ -186,21 +186,8 @@ STREETS = DatasetSpec(
 
 
 def dataset_names() -> list[str]:
-    """Table II/III order."""
-    return [
-        "andromeda",
-        "bitcoin_addresses",
-        "bitcoin_full",
-        "candels10",
-        "candels20",
-        "candels40",
-        "candels80",
-        "candels160",
-        "friendster",
-        "rmat",
-        "path100m",
-        "pathunion10",
-    ]
+    """Table II/III order (the order of :data:`DATASETS`)."""
+    return list(DATASETS)
 
 
 def get_dataset(name: str) -> DatasetSpec:

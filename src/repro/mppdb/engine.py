@@ -17,8 +17,8 @@ SparkSession:
   estimates multiply at every self-join round, and after ~12 rounds the
   planner spends minutes multiplying million-digit BigIntegers in
   ``SizeInBytesOnlyStatsPlanVisitor``.)
-* :meth:`ref` resolves logical → run-unique temp-view names so algorithm
-  code can embed table names in SQL strings;
+* each stored table keeps one temp view, named once; :meth:`ref` gives its
+  name for SQL strings, and a RENAME is bookkeeping that touches no catalog;
 * the engine numbers the rounds of a solve and enforces its round cap:
   :meth:`next_round` raises :class:`RoundLimitExceeded` past ``max_rounds``;
 * per-statement metrics (rows, bytes, seconds, round number) feed the
@@ -85,6 +85,7 @@ class _Table:
     """One catalog entry: the stored DataFrame, its checkpointed rows and its size."""
 
     df: DataFrame
+    view: str  # its one temp view, "mpp<engine>_t<serial>", kept through renames
     jrdd: JavaObject  # the leaf's RDD[InternalRow], holding the table's blocks
     rows: int
     bytes: int
@@ -139,7 +140,7 @@ class Engine:
         self.spark = spark
         self.stats = EngineStats()
         self.max_live_rows = max_live_rows
-        self._prefix = f"mpp{next(_engine_ids)}"
+        self._views = map(f"mpp{next(_engine_ids)}_t{{}}".format, itertools.count())
         self._jvm = _Jvm.of(spark)
         self._tables: dict[str, _Table] = {}
         self._closed = False
@@ -147,8 +148,9 @@ class Engine:
     # --- catalog -----------------------------------------------------
 
     def ref(self, name: str) -> str:
-        """Physical (temp-view) name of logical table ``name`` for SQL strings."""
-        return f"{self._prefix}_{name}"
+        """Temp-view name of existing table ``name`` for SQL strings."""
+        self._check_exists(name)
+        return self._tables[name].view
 
     def table(self, name: str) -> DataFrame:
         """The DataFrame behind logical table ``name``."""
@@ -233,28 +235,35 @@ class Engine:
         return self._tables.pop(name).df
 
     def rename(self, old: str, new: str) -> None:
-        """``ALTER TABLE old RENAME TO new`` (old must exist, new must not)."""
+        """``ALTER TABLE old RENAME TO new`` (old must exist, new must not); keeps the view."""
         self._check_exists(old)
         if new in self._tables:
             raise ValueError(f"table {new!r} already exists")
-        t = self._tables.pop(old)
-        self.spark.catalog.dropTempView(self.ref(old))
-        self._tables[new] = t
-        t.df.createOrReplaceTempView(self.ref(new))
+        self._tables[new] = self._tables.pop(old)
 
     # --- lifecycle ---------------------------------------------------
 
     def close(self) -> None:
+        """Drop every table's view and release its blocks.
+
+        An interrupt while a view is dropped does not strand the other
+        tables: it is re-raised once every table has been released.
+        """
         if self._closed:
             return
         self._closed = True
         tables, self._tables = self._tables, {}
-        for name, t in tables.items():
+        interrupt = None
+        for t in tables.values():
             try:
-                self.spark.catalog.dropTempView(self.ref(name))
+                self.spark.catalog.dropTempView(t.view)
             except Exception:
                 pass
+            except BaseException as e:
+                interrupt = interrupt or e
             t.free()
+        if interrupt is not None:
+            raise interrupt
 
     def __enter__(self) -> "Engine":
         return self
@@ -301,7 +310,7 @@ class Engine:
         except BaseException:
             rdd.unpersist(False)
             raise
-        return _Table(stored, rdd, n, n * _row_width(stored))
+        return _Table(stored, next(self._views), rdd, n, n * _row_width(stored))
 
     def _leaf(self, leaf: JavaObject, n: int) -> DataFrame:
         """The ``LogicalRDD`` ``leaf`` over ``n`` stored rows, reporting their exact size.
@@ -325,7 +334,7 @@ class Engine:
 
     def _install(self, name: str, t: _Table) -> None:
         self._tables[name] = t
-        t.df.createOrReplaceTempView(self.ref(name))
+        t.df.createOrReplaceTempView(t.view)
         self.stats.peak_live_rows = max(self.stats.peak_live_rows, self.live_rows)
         self.stats.peak_live_bytes = max(self.stats.peak_live_bytes, self.live_bytes)
 

@@ -1,9 +1,12 @@
 """The mppdb Engine: catalog semantics, metering, budgets."""
 import threading
+import uuid
 
 import pytest
+from pyspark.sql.catalog import Catalog
+from pyspark.sql.classic.dataframe import DataFrame as ClassicDataFrame
 
-from repro.core import connected_components, randomised_contraction_fast
+from repro.core import connected_components, get_algorithm, randomised_contraction_fast
 from repro.graphs import generators as G
 from repro.mppdb import Engine, RoundLimitExceeded, SpaceBudgetExceeded
 
@@ -36,13 +39,39 @@ class TestCatalog:
         assert "a" not in eng.tables()
         with pytest.raises(Exception):
             spark.sql(f"select * from {ref}").collect()
+        with pytest.raises(ValueError):
+            eng.ref("a")
 
     def test_rename(self, eng, spark):
         eng.ctas("a", "select id from range(7)")
+        view = eng.ref("a")
         eng.rename("a", "b")
         assert eng.rows("b") == 7
         assert "a" not in eng.tables()
         assert spark.sql(f"select count(*) c from {eng.ref('b')}").collect()[0]["c"] == 7
+        with pytest.raises(ValueError):
+            eng.ref("a")
+        assert eng.ref("b") == view
+
+    def test_interrupted_rename_completes(self, spark, monkeypatch):
+        # A RENAME makes no catalog call, so an interrupt that would strike
+        # one cannot lose the table between its old and its new name.
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        before = snapshot(spark)
+        e = Engine(spark)
+        e.ctas("T", "select id from range(3)")
+        with monkeypatch.context() as m:
+            m.setattr(Catalog, "dropTempView", interrupt)
+            m.setattr(ClassicDataFrame, "createOrReplaceTempView", interrupt)
+            try:
+                e.rename("T", "E")
+            except KeyboardInterrupt:
+                pytest.fail("rename was interrupted inside a catalog call")
+        assert e.tables() == ["E"] and e.rows("E") == 3
+        e.close()
+        assert added_since(spark, before) == (0, set())
 
     def test_rename_onto_existing_fails(self, eng):
         eng.ctas("a", "select id from range(1)")
@@ -191,7 +220,7 @@ class TestMaterialise:
 
     def test_ctas_without_shuffle_runs_one_job(self, eng, spark):
         sc = spark.sparkContext
-        group = f"one-job-{eng.ref('t')}"
+        group = f"one-job-{uuid.uuid4()}"
         sc.setJobGroup(group, "CTAS job-count guard")
         try:
             eng.ctas("t", "select id as v from range(10)")
@@ -347,13 +376,38 @@ class TestLifecycle:
             e.ctas("a", "select 1")
 
     def test_closed_engine_rejects_register_input(self, spark):
-        before = cached_rdds(spark)
+        before = snapshot(spark)
         e = Engine(spark)
         e.close()
         with pytest.raises(RuntimeError):
             e.register_input("G", spark.range(3).selectExpr("id as v", "id as w"))
-        assert cached_rdds(spark) <= before
-        assert not spark.catalog.tableExists(e.ref("G"))
+        assert added_since(spark, before) == (0, set())
+
+    def test_interrupted_close_releases_every_table(self, spark, monkeypatch):
+        # An interrupt on the first view drop must not strand the other
+        # tables: every table's blocks are released and every view drop is
+        # tried before the interrupt propagates.
+        before = snapshot(spark)
+        e = Engine(spark)
+        e.ctas("a", "select id from range(2)")
+        e.ctas("b", "select id from range(3)")
+        view_a, view_b = e.ref("a"), e.ref("b")
+        drop, calls = Catalog.dropTempView, []
+
+        def interrupt_once(self, name):
+            calls.append(name)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return drop(self, name)
+
+        with monkeypatch.context() as m:
+            m.setattr(Catalog, "dropTempView", interrupt_once)
+            with pytest.raises(KeyboardInterrupt):
+                e.close()
+        left = added_since(spark, before)
+        spark.catalog.dropTempView(view_a)  # the one drop the interrupt cut short
+        assert calls == [view_a, view_b]
+        assert left == (0, {view_a})
 
     def test_storage_freed_by_drop_rename_and_close(self, spark):
         start = cached_rdds(spark)
@@ -415,6 +469,30 @@ class TestLifecycle:
         assert eng.rows("G") == 5
         assert spark.sql(f"select count(*) c from {eng.ref('G')}").collect()[0]["c"] == 5
         assert eng.stats.input_rows == 5
+
+
+@pytest.mark.parametrize("algorithm", ["rc", "rc_fig3"])
+def test_one_view_per_stored_table(spark, monkeypatch, algorithm):
+    # Each stored table is registered once, whatever renames it goes
+    # through, and every registered view is dropped again.
+    created, dropped = [], []
+    create, drop = ClassicDataFrame.createOrReplaceTempView, Catalog.dropTempView
+
+    def spy_create(self, name):
+        created.append(name)
+        return create(self, name)
+
+    def spy_drop(self, name):
+        dropped.append(name)
+        return drop(self, name)
+
+    monkeypatch.setattr(ClassicDataFrame, "createOrReplaceTempView", spy_create)
+    monkeypatch.setattr(Catalog, "dropTempView", spy_drop)
+    pdf = G.path(16, numbering="sequential")
+    res = get_algorithm(algorithm)(spark, G.to_spark(spark, pdf), seed=5)
+    assert res.stats.n_ctas > 0
+    assert len(created) == len(set(created)) == res.stats.n_ctas + 1  # + the input
+    assert sorted(dropped) == sorted(created)
 
 
 class TestSessionSettings:
